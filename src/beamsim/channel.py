@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j1, jv
+from scipy.special import j0, j1
 
 from . import geometry
 from .errors import ValidationError
@@ -30,6 +30,37 @@ GAIN_FLOOR_REL = 1e-10  # -100 dB relative to boresight; keeps |h| > 0
 # Antenna pattern
 # ---------------------------------------------------------------------------
 
+# Below this u the bracket is summed as a power series: the recurrence for
+# J3 from J0 and J1 cancels catastrophically as u -> 0.
+_SERIES_MAX_U = 2.0
+# Coefficients of the bracket in w = (u/2)^2, from the series of J1 and J3:
+# (-1)^k / (k!) [1 / (4 (k+1)!) + 36 / (8 (k+3)!)]; k <= 11 leaves < 1e-20 at u = 2.
+_BRACKET_SERIES = np.array([
+    (-1) ** k / math.factorial(k)
+    * (0.25 / math.factorial(k + 1) + 4.5 / math.factorial(k + 3))
+    for k in range(12)
+])
+
+
+def taper_bracket(u):
+    """Normalised field bracket J1(u)/2u + 36 J3(u)/u^3; 1 at u = 0.
+
+    J3 comes from the recurrence J3 = (8/u^2 - 1) J1 - (4/u) J0, which needs
+    only the fast J0 and J1; below `_SERIES_MAX_U` the bracket is summed as
+    a power series instead.
+    """
+    u = np.abs(np.asarray(u, dtype=float))
+    out = np.empty_like(u)
+    small = u < _SERIES_MAX_U
+    out[small] = np.polynomial.polynomial.polyval((0.5 * u[small]) ** 2, _BRACKET_SERIES)
+    big = ~small
+    ub = u[big]
+    inv2 = 1.0 / (ub * ub)
+    out[big] = (j1(ub) / ub * (0.5 + 36.0 * inv2 * (8.0 * inv2 - 1.0))
+                - 144.0 * inv2 * inv2 * j0(ub))
+    return out
+
+
 def bessel_taper_gain(theta, theta_3db, g_max):
     """Tapered-aperture pattern G(theta) = G_max [J1(u)/2u + 36 J3(u)/u^3]^2.
 
@@ -38,10 +69,7 @@ def bessel_taper_gain(theta, theta_3db, g_max):
     """
     theta = np.asarray(theta, dtype=float)
     u = 2.07123 * np.sin(theta) / math.sin(theta_3db)
-    small = np.abs(u) < 1e-8
-    us = np.where(small, 1.0, u)
-    bracket = np.where(small, 1.0, j1(us) / (2.0 * us) + 36.0 * jv(3, us) / us**3)
-    rel = bracket**2
+    rel = taper_bracket(u) ** 2
     rel = np.where(theta >= math.pi / 2.0, GAIN_FLOOR_REL, rel)
     return g_max * np.maximum(rel, GAIN_FLOOR_REL)
 

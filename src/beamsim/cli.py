@@ -3,7 +3,8 @@
 Subcommands: run (Monte Carlo experiment), validate (check inputs only),
 sectorize (dump per-user sector assignments), cluster (dump partitions),
 report (re-aggregate a run directory's rate traces).  Exit codes: 0 on
-success, 1 on runtime failure, 2 on usage errors.
+success, 1 on runtime failure (for run: when any cell failed), 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__, clustering, engine, geometry
-from .errors import ValidationError
+from .errors import GeometryError, ValidationError
 from .scenario import (
     Scenario,
     check_density_supports_clusters,
@@ -97,6 +98,11 @@ def cmd_run(args) -> int:
         if report.gain is not None:
             print(f"K={k} rho={rho:g} gain (gsa - random): {report.gain:+.4f} bit/s/Hz")
     print(f"artifacts written to {out_dir}")
+    failed = [f"K={k} rho={rho:g}" for k, rho in sweep if (k, rho) not in reports]
+    if failed:
+        print(f"error: {len(failed)} of {len(sweep)} cells failed ({', '.join(failed)}); "
+              f"see {os.path.join(out_dir, 'diagnostics.txt')}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -247,7 +253,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError):
             pass
         return 0
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

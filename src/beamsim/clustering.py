@@ -3,9 +3,22 @@
 Each pass picks the not-yet-clustered user farthest from the barycentre of
 the remaining users as reference, then groups it with its K-1 nearest
 remaining neighbours.  The similarity space is either the 2-D tangent-plane
-position or the real embedding of the complex channel vector.  Ties (equal
-distances) break toward the lowest user index so partitions are
-deterministic.
+position or the real embedding of the complex channel vector.
+
+Ties break toward the lowest user index, so partitions are deterministic.
+Barycentre distances within the relative tolerance `TIE_RTOL` of the
+largest count as tied, so the reference pick does not depend on rounding
+(two remaining users, for example, are always equidistant from their
+barycentre).  Neighbour distances tie only when equal.
+
+Cost: every distance a pass needs comes from the Gram matrix G = X X^T of
+the remaining users' features X, centred on their barycentre, and from
+g = G 1_R, its row sums over the remaining users R, which each pass updates
+by subtracting the rows it took.  A pass costs O(n) arithmetic and one
+sort of n distances, whatever the feature dimension d.  G takes 8 n^2 bytes
+for n users; it is built for the whole beam and rebuilt on the remaining
+users each time half of them have been taken, which keeps the rounding of
+the distances small and costs O(n^2 d) per beam in all.
 """
 
 from __future__ import annotations
@@ -16,6 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+
+# Reference picks within this relative distance of the farthest user tie.
+TIE_RTOL = 1e-9
 
 
 @dataclass
@@ -64,20 +80,38 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> Cluster
     if k < 1:
         raise ValidationError("cluster size must be >= 1")
 
-    remaining = np.arange(n)            # kept ascending: argmin/argmax tie-break
     clusters = []
-    while remaining.size:
-        pool = feats[remaining]
-        barycentre = pool.mean(axis=0)
-        ref_pos = int(np.argmax(np.einsum("ij,ij->i", pool - barycentre, pool - barycentre)))
-        dist = np.einsum("ij,ij->i", pool - pool[ref_pos], pool - pool[ref_pos])
-        dist[ref_pos] = -1.0            # reference always first
-        order = np.argsort(dist, kind="stable")
-        take = order[: min(k, remaining.size)]
-        clusters.append(np.sort(remaining[take]))
-        keep = np.ones(remaining.size, dtype=bool)
-        keep[take] = False
-        remaining = remaining[keep]
+    ids = np.arange(n)                  # remaining users, ascending: lowest-index ties
+    while ids.size > k:
+        # distance table of the remaining users, centred on their barycentre;
+        # rebuilt once half of them are taken, so that |x|^2 stays near the
+        # distances it yields and the subtractions below lose little precision
+        x = feats[ids] - feats[ids].mean(axis=0)
+        gram = x @ x.T
+        far = gram.diagonal().copy()    # |x_i|^2, -inf once taken
+        near = far.copy()               # |x_i|^2, +inf once taken
+        row_sum = gram.sum(axis=1)      # g = G 1_R over the remaining users R
+        total = row_sum.sum()           # |s|^2 = 1_R^T G 1_R, s the sum over R
+        m = ids.size
+        while m > k and 2 * m > ids.size:
+            # |x_i - s/m|^2 = |x_i|^2 - 2 g_i / m + |s|^2 / m^2; the last term
+            # is common to all users and enters only the relative tie tolerance
+            bary = far - (2.0 / m) * row_sum
+            top = bary.max()
+            ref = int(np.argmax(bary >= top - TIE_RTOL * abs(top + total / (m * m))))
+            # |x_i - x_ref|^2 less the common |x_ref|^2
+            dist = near - 2.0 * gram[ref]
+            dist[ref] = -np.inf         # reference always first
+            take = np.sort(np.argsort(dist, kind="stable")[:k])
+            clusters.append(ids[take])
+            taken = gram[take].sum(axis=0)
+            total += taken[take].sum() - 2.0 * row_sum[take].sum()
+            row_sum -= taken
+            far[take] = -np.inf
+            near[take] = np.inf
+            m -= k
+        ids = ids[np.isfinite(far)]
+    clusters.append(ids)
 
     assert len(clusters) == math.ceil(n / k)
     return ClusterPartition(beam_id, clusters, n).validate()

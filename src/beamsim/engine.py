@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import channel as chn
 from . import clustering, geometry, precoding, scheduling
-from .errors import ValidationError
+from .errors import GeometryError, ValidationError
 from .link_adaptation import UserSinrMap, aggregate
 from .scenario import Scenario, check_density_supports_clusters, deploy_users
 
@@ -457,7 +457,9 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
     """Run the full sweep; optionally write per-cell artifacts and a manifest.
 
     Returns (dict mapping (cluster_size, density) -> MetricsReport, manifest).
-    A failing cell is recorded as a diagnostic and does not abort the sweep.
+    A cell failing with a validation, geometry or linear-algebra error is
+    recorded as a diagnostic and does not abort the sweep; any other error
+    propagates.
     """
     cfg = scenario.config
     if sweep is None:
@@ -475,7 +477,8 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
                 scenario, cluster_size, density, policies, iterations, threads,
                 collect_trace=write_traces, map_iterations=map_iterations,
             )
-        except Exception as exc:  # record and continue with the other cells
+        except (ValidationError, GeometryError, np.linalg.LinAlgError) as exc:
+            # record and continue with the other cells
             diagnostics.append(f"K={cluster_size} rho={density:g}: {exc}")
             continue
         reports[(cluster_size, density)] = report

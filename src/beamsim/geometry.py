@@ -188,18 +188,6 @@ def edge_radius(beam: "Beam", phi: float) -> float:
     return ray_boundary_distance(beam.boundary_xy, phi % TAU)
 
 
-def min_edge_radius(boundary_xy) -> float:
-    """Minimum distance from the origin to the polygon boundary (km)."""
-    v = np.asarray(boundary_xy, dtype=float)
-    p = v
-    q = np.roll(v, -1, axis=0)
-    e = q - p
-    ee = np.einsum("ij,ij->i", e, e)
-    t = np.clip(-np.einsum("ij,ij->i", p, e) / np.where(ee > 0, ee, 1.0), 0.0, 1.0)
-    nearest = p + t[:, None] * e
-    return float(np.min(np.hypot(nearest[:, 0], nearest[:, 1])))
-
-
 def edge_midpoints_xy(boundary_xy):
     v = np.asarray(boundary_xy, dtype=float)
     return (v + np.roll(v, -1, axis=0)) / 2.0

@@ -42,11 +42,6 @@ class ScheduleSequence:
         return np.vstack([f.selection for f in self.frames])
 
 
-def _draw(pool: list, rng) -> int:
-    """Uniform draw with O(1) swap-removal bookkeeping left to the caller."""
-    return int(rng.integers(len(pool)))
-
-
 def random_schedule(partitions, n_frame=None, seed=0) -> ScheduleSequence:
     """Uniform cluster selection without replacement until each beam's sweep ends.
 
@@ -68,7 +63,7 @@ def random_schedule(partitions, n_frame=None, seed=0) -> ScheduleSequence:
     for n in range(1, n_frame + 1):
         sel = np.empty(len(partitions), dtype=int)
         for b, pool in enumerate(pools):
-            j = _draw(pool, rng)
+            j = int(rng.integers(len(pool)))
             sel[b] = pool[j]
             if n < n_k[b]:
                 pool[j] = pool[-1]
@@ -125,7 +120,7 @@ def gsa_schedule(partitions, sectorisations: list[Sectorisation], seed=0) -> Sch
             frame_no += 1
             sel = np.empty(len(partitions), dtype=int)
             for b, pool in enumerate(pools):
-                j = _draw(pool, rng)
+                j = int(rng.integers(len(pool)))
                 sel[b] = pool[j]
                 if borrowed_beam[b]:
                     continue  # borrowed pools are sampled with replacement

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import j1, jv
 
 from beamsim import geometry
 from beamsim.channel import (
     GAIN_FLOOR_REL,
+    _SERIES_MAX_U,
     antenna_gain,
     assemble_frame_matrix,
     beam_rf_parameters,
@@ -16,6 +18,7 @@ from beamsim.channel import (
     draw_phases,
     equivalent_cluster_vector,
     gaussian_gain,
+    taper_bracket,
 )
 from beamsim.errors import ValidationError
 from beamsim.scenario import UserTerminal, config_from_mapping
@@ -64,6 +67,49 @@ def test_main_lobe_monotone_decreasing():
     thetas = np.linspace(0.0, 1.6 * t3, 200)
     g = bessel_taper_gain(thetas, t3, 1.0)
     assert (np.diff(g) < 0).all()
+
+
+def jv_bracket(u):
+    """J1(u)/2u + 36 J3(u)/u^3 with scipy's jv for J3; its limit 1 below u = 1e-8."""
+    u = np.abs(np.asarray(u, dtype=float))
+    small = u < 1e-8
+    us = np.where(small, 1.0, u)
+    return np.where(small, 1.0, j1(us) / (2.0 * us) + 36.0 * jv(3, us) / us**3)
+
+
+def bracket_nulls(u_max=60.0):
+    grid = np.linspace(1e-3, u_max, 60_001)
+    b = jv_bracket(grid)
+    flips = np.flatnonzero(np.sign(b[:-1]) != np.sign(b[1:]))
+    return np.array([brentq(jv_bracket, grid[i], grid[i + 1], xtol=1e-15) for i in flips])
+
+
+def test_pattern_matches_jv_oracle():
+    nulls = bracket_nulls()
+    assert len(nulls) >= 15                       # every sidelobe null up to u = 60
+    near_nulls = (nulls[:, None] + np.array([-1e-6, -1e-9, 0.0, 1e-9, 1e-6])).ravel()
+    u = np.concatenate([
+        np.linspace(0.0, 60.0, 200_001),
+        [1e-300, 1e-12, 1e-9, 1e-8 * (1.0 - 1e-12), 1e-8, 1e-6, 1e-3, 0.5],
+        _SERIES_MAX_U + np.array([-1e-6, -1e-12, 0.0, 1e-12, 1e-6]),
+        near_nulls,
+    ])
+    expect = jv_bracket(u)
+    err = np.abs(taper_bracket(u) - expect)
+    # relative accuracy, or absolute on the normalised bracket where it vanishes
+    assert np.all((err <= 1e-11 * np.abs(expect)) | (err <= 1e-13))
+    assert np.all(err[np.abs(expect) > 1e-2] <= 1e-11 * np.abs(expect[np.abs(expect) > 1e-2]))
+    assert np.max(np.abs(taper_bracket(near_nulls))) < 1e-6
+    assert np.array_equal(taper_bracket(-u[:1000]), taper_bracket(u[:1000]))   # even in u
+
+
+def test_gain_matches_jv_oracle():
+    t3 = math.radians(0.3)
+    theta = np.linspace(0.0, math.asin(60.0 * math.sin(t3) / 2.07123), 50_001)
+    u = 2.07123 * np.sin(theta) / math.sin(t3)
+    expect = 3e4 * np.maximum(jv_bracket(u) ** 2, GAIN_FLOOR_REL)
+    got = bessel_taper_gain(theta, t3, 3e4)
+    assert np.allclose(got, expect, rtol=2e-11, atol=2e-13 * 3e4)
 
 
 def test_beyond_horizon_clamped_to_floor():

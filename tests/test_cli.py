@@ -76,6 +76,35 @@ def test_sectorize_dumps_assignments(small_config, capsys):
     assert sectors <= set(range(10))  # the table grid has 10 sectors
 
 
+def test_sectorize_geometry_error_exit_one(small_config, monkeypatch, capsys):
+    import beamsim.geometry as geometry
+    from beamsim.errors import GeometryError
+
+    def missing_ray(boundary_xy, phi):
+        raise GeometryError(f"ray at phi={phi:.6f} rad does not meet the beam boundary")
+
+    monkeypatch.setattr(geometry, "ray_boundary_distance", missing_ray)
+    assert main(["sectorize", "--config", small_config, "--beams", hex7()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ray at phi=")
+    assert "Traceback" not in err
+
+
+def test_run_partial_failure_exit_one(small_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([
+        "run", "--config", small_config, "--beams", hex7(), "--cluster-size", "2,1000",
+        "--iterations", "1", "--no-traces", "--out", str(out),
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "K=2 rho=0.00025 random:" in captured.out
+    assert "K=1000" not in captured.out
+    assert "1 of 2 cells failed (K=1000 rho=0.00025)" in captured.err
+    assert "K=1000" in (out / "diagnostics.txt").read_text()
+    assert (out / "K2_rho0.00025" / "random" / "rates.csv").exists()
+
+
 def test_cluster_dumps_partitions(small_config, capsys):
     assert main(["cluster", "--config", small_config, "--beams", hex7()]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -2,18 +2,59 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from beamsim import geometry
+from beamsim.channel import beam_rf_parameters, channel_matrix, draw_phases
 from beamsim.clustering import (
+    TIE_RTOL,
     ClusterPartition,
     channel_features,
     cluster_barycentres,
     max_dist_partition,
 )
+from beamsim.engine import _SEED_DEPLOY, _SEED_PHASES, iteration_seed
 from beamsim.errors import ValidationError
+from beamsim.scenario import deploy_users
+
+from conftest import bundled_scenario
 
 
 def as_sets(partition):
     return [set(c.tolist()) for c in partition.clusters]
+
+
+def reference_max_dist(features, cluster_size):
+    """MaxDist pass by pass on the features themselves, with the library's tie rule.
+
+    Every pass copies the remaining pool and recomputes its barycentre and
+    all distances directly: O(N d) per pass, slow but plainly right.
+    """
+    feats = np.asarray(features, dtype=float)
+    if feats.ndim == 1:
+        feats = feats[:, None]
+    remaining = np.arange(len(feats))
+    clusters = []
+    while remaining.size:
+        pool = feats[remaining]
+        centred = pool - pool.mean(axis=0)
+        bary = np.einsum("ij,ij->i", centred, centred)
+        top = bary.max()
+        ref = int(np.argmax(bary >= top - TIE_RTOL * abs(top)))
+        diff = pool - pool[ref]
+        dist = np.einsum("ij,ij->i", diff, diff)
+        dist[ref] = -1.0
+        take = np.argsort(dist, kind="stable")[:cluster_size]
+        clusters.append(np.sort(remaining[take]))
+        keep = np.ones(remaining.size, dtype=bool)
+        keep[take] = False
+        remaining = remaining[keep]
+    return clusters
+
+
+def assert_same_partition(partition, expected):
+    assert [c.tolist() for c in partition.clusters] == [c.tolist() for c in expected]
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +90,27 @@ def test_tie_break_lowest_id():
     feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     part = max_dist_partition(feats, 2)
     assert as_sets(part) == [{0, 1}, {2, 3}]
+
+
+def test_two_user_pool_lowest_index_first():
+    # two users are equidistant from their barycentre whatever the rounding
+    rng = np.random.default_rng(6)
+    for _ in range(2000):
+        feats = rng.normal(size=(2, int(rng.integers(1, 5))))
+        part = max_dist_partition(feats, 1)
+        assert [c.tolist() for c in part.clusters] == [[0], [1]]
+
+
+def test_regular_polygon_ties_go_to_lowest_index():
+    # the vertices are equidistant from their barycentre, up to rounding
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        n = int(rng.integers(3, 13))
+        angles = rng.uniform(0.0, 2.0 * math.pi) + 2.0 * math.pi * np.arange(n) / n
+        feats = rng.uniform(-5.0, 5.0, size=2) + rng.uniform(0.1, 100.0) * np.column_stack(
+            [np.cos(angles), np.sin(angles)]
+        )
+        assert max_dist_partition(feats, 1).clusters[0].tolist() == [0]
 
 
 def test_last_cluster_smaller():
@@ -124,6 +186,55 @@ def test_clusters_are_compact_on_average():
         if d_intra and np.mean(d_intra) > np.mean(d_all):
             worse += 1
     assert worse == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    k=st.integers(1, 9),
+    dim=st.integers(1, 6),
+    log_scale=st.floats(-3.0, 3.0),
+    offset=st.floats(-10.0, 10.0),
+    uniform=st.booleans(),
+)
+def test_matches_reference_on_random_features(seed, n, k, dim, log_scale, offset, uniform):
+    rng = np.random.default_rng(seed)
+    draw = rng.uniform(-1.0, 1.0, size=(n, dim)) if uniform else rng.normal(size=(n, dim))
+    feats = 10.0**log_scale * (offset + draw)
+    assert_same_partition(max_dist_partition(feats, k), reference_max_dist(feats, k))
+
+
+def bundled_features(layout):
+    """Per-beam (position, channel) features of the bundled config's iteration 0."""
+    scenario = bundled_scenario(layout)
+    cfg = scenario.config
+    beams = scenario.beams
+    sat = scenario.satellite()
+    users = deploy_users(beams, cfg.user_density,
+                         iteration_seed(cfg.master_seed, 0, _SEED_DEPLOY), sat)
+    lat = np.array([u.lat for u in users])
+    lon = np.array([u.lon for u in users])
+    slant = np.array([u.slant_range_m for u in users])
+    index = {b.beam_id: i for i, b in enumerate(beams)}
+    beam_idx = np.array([index[u.beam_id] for u in users])
+    rf = beam_rf_parameters(beams, sat, cfg.tx_aperture_efficiency)
+    phases = draw_phases(
+        len(beams), np.random.default_rng(iteration_seed(cfg.master_seed, 0, _SEED_PHASES))
+    )
+    h = channel_matrix(lat, lon, slant, beam_idx, rf, sat, cfg, phases)
+    for bi, beam in enumerate(beams):
+        sel = np.flatnonzero(beam_idx == bi)
+        x, y = geometry.project_tangent(beam.center_lat, beam.center_lon, lat[sel], lon[sel])
+        yield np.column_stack([x, y]), channel_features(h[sel])
+
+
+@pytest.mark.parametrize("layout", ["beams_hex7.json", "beams_hex19.json", "beams_europe71.json"])
+def test_matches_reference_on_bundled_layouts(layout):
+    for xy, chan in bundled_features(layout):
+        for feats in (xy, chan):
+            for k in (1, 2, 4, 8):
+                assert_same_partition(max_dist_partition(feats, k), reference_max_dist(feats, k))
 
 
 def test_determinism():

@@ -113,6 +113,15 @@ def test_failing_cell_recorded_not_fatal(small_scenario, tmp_path):
     assert "K=500" in diag
 
 
+def test_unexpected_cell_error_propagates(small_scenario, monkeypatch):
+    def broken_cell(*args, **kwargs):
+        raise RuntimeError("bug in a pipeline stage")
+
+    monkeypatch.setattr(engine, "run_cell", broken_cell)
+    with pytest.raises(RuntimeError, match="bug in a pipeline stage"):
+        engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4)], iterations=1)
+
+
 def test_all_cells_failing_raises(small_scenario):
     with pytest.raises(ValidationError):
         engine.run_experiment(small_scenario, sweep=[(500, 2.5e-4)], iterations=1)
