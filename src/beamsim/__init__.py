@@ -9,11 +9,8 @@ __version__ = "0.1.0"
 
 from .channel import (
     antenna_gain,
-    assemble_frame_matrix,
     beam_rf_parameters,
-    channel_coefficient,
     channel_matrix,
-    equivalent_cluster_vector,
 )
 from .clustering import ClusterPartition, channel_features, max_dist_partition
 from .engine import RunManifest, run_cell, run_experiment, run_iteration
@@ -22,13 +19,11 @@ from .geometry import (
     NormalizedPolar,
     SectorGrid,
     Sectorisation,
-    assign_sector,
-    edge_radius,
     sectorise,
     to_normalized_polar,
 )
-from .link_adaptation import MetricsReport, aggregate, cluster_rate
-from .precoding import evaluate_sinr, mmse_precoder, normalize_power
+from .link_adaptation import MetricsReport, aggregate, cluster_rates
+from .precoding import mmse_precoder, normalize_power
 from .scenario import (
     Beam,
     ModCodTable,
@@ -46,19 +41,13 @@ from .scheduling import ScheduleSequence, gsa_schedule, random_schedule
 __all__ = [
     "__version__",
     "antenna_gain",
-    "assemble_frame_matrix",
-    "assign_sector",
     "beam_rf_parameters",
     "Beam",
-    "channel_coefficient",
     "channel_features",
     "channel_matrix",
     "ClusterPartition",
-    "cluster_rate",
+    "cluster_rates",
     "deploy_users",
-    "edge_radius",
-    "equivalent_cluster_vector",
-    "evaluate_sinr",
     "GeometryError",
     "gsa_schedule",
     "load_beams",

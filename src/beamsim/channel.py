@@ -180,45 +180,3 @@ def channel_matrix(user_lat, user_lon, slant_m, user_beam_idx, rf: BeamRf,
     else:  # literal per-receiving-beam reading
         h = h * np.exp(-1j * phases[np.asarray(user_beam_idx, dtype=int)])[:, None]
     return h
-
-
-def channel_coefficient(user, antenna_j, rf: BeamRf, satellite_ecef_km, cfg, phases) -> complex:
-    """Single coefficient between one user terminal and antenna feed j."""
-    row = channel_matrix(
-        np.array([user.lat]),
-        np.array([user.lon]),
-        np.array([user.slant_range_m]),
-        np.array([0]),
-        rf,
-        satellite_ecef_km,
-        cfg,
-        phases,
-    )[0]
-    return complex(row[antenna_j])
-
-
-def equivalent_cluster_vector(member_vectors) -> np.ndarray:
-    """Element-wise arithmetic mean of the cluster members' channel vectors."""
-    m = np.asarray(member_vectors)
-    if m.ndim == 1:
-        m = m[None, :]
-    if m.size == 0:
-        raise ValidationError("cannot average an empty cluster")
-    return m.mean(axis=0)
-
-
-def assemble_frame_matrix(selected_vectors) -> np.ndarray:
-    """Stack one equivalent channel vector per beam into the frame matrix."""
-    rows = [np.asarray(v) for v in selected_vectors]
-    n = len(rows)
-    if n == 0:
-        raise ValidationError("frame matrix needs at least one beam")
-    for b, row in enumerate(rows):
-        if row.shape != (n,):
-            raise ValidationError(
-                f"beam {b}: equivalent vector has shape {row.shape}, expected ({n},)"
-            )
-    h = np.vstack(rows)
-    if not np.all(np.isfinite(h.view(float))):
-        raise ValidationError("frame matrix contains non-finite entries")
-    return h

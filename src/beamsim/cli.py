@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: run (Monte Carlo experiment), validate (check inputs only),
-sectorize (dump per-user sector assignments), cluster (dump partitions),
-report (re-aggregate a run directory's rate traces).  Exit codes: 0 on
-success, 1 on runtime failure (for run: when any cell failed), 2 on usage
-errors.
+sectorize (dump per-user sector assignments), cluster (dump the partitions
+run uses in iteration 0), report (re-aggregate a run directory's rate
+traces).  Exit codes: 0 on success, 1 on runtime failure (for run: when any
+cell failed), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__, clustering, engine, geometry
+from . import __version__, engine, geometry
 from .errors import GeometryError, ValidationError
 from .scenario import (
     Scenario,
     check_density_supports_clusters,
-    deploy_users,
     load_beams,
     load_config,
     load_modcod,
@@ -117,44 +116,29 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _deployed_frame(scenario):
-    users = deploy_users(
-        scenario.beams, scenario.config.user_density, scenario.config.master_seed,
-        scenario.satellite(),
-    )
-    return users
-
-
 def cmd_sectorize(args) -> int:
     scenario = _load_scenario(args)
     grid = scenario.config.sector_grid()
-    users = _deployed_frame(scenario)
-    by_id = {b.beam_id: b for b in scenario.beams}
+    dep = engine.deploy(scenario, scenario.config.user_density, 0)
     print("beam,user,lat,lon,phi,r_norm,sector")
-    for u in users:
-        beam = by_id[u.beam_id]
-        p = geometry.to_normalized_polar(beam, u.lat, u.lon)
-        q = grid.assign(p)
-        print(f"{u.beam_id},{u.user_id},{u.lat:.6f},{u.lon:.6f},{p.phi:.6f},{p.radius:.6f},{q}")
+    for user, (lat, lon, b) in enumerate(zip(dep.lat, dep.lon, dep.beam_idx)):
+        beam = scenario.beams[b]
+        p = geometry.to_normalized_polar(beam, lat, lon)
+        print(f"{beam.beam_id},{user},{lat:.6f},{lon:.6f},{p.phi:.6f},{p.radius:.6f},"
+              f"{grid.assign(p)}")
     return 0
 
 
 def cmd_cluster(args) -> int:
     scenario = _load_scenario(args)
     cfg = scenario.config
-    users = _deployed_frame(scenario)
+    state = engine.build_iteration(scenario, cfg.cluster_size, cfg.user_density, 0)
+    dep = state.deployment
     print("beam,cluster,user,lat,lon")
-    for bi, beam in enumerate(scenario.beams):
-        mine = [u for u in users if u.beam_id == beam.beam_id]
-        lat = np.array([u.lat for u in mine])
-        lon = np.array([u.lon for u in mine])
-        x, y = geometry.project_tangent(beam.center_lat, beam.center_lon, lat, lon)
-        feats = np.column_stack([x, y])
-        part = clustering.max_dist_partition(feats, cfg.cluster_size, beam.beam_id)
-        for ci, members in enumerate(part.clusters):
+    for beam, clusters in zip(scenario.beams, state.member_lists):
+        for ci, members in enumerate(clusters):
             for m in members:
-                u = mine[m]
-                print(f"{beam.beam_id},{ci},{u.user_id},{u.lat:.6f},{u.lon:.6f}")
+                print(f"{beam.beam_id},{ci},{m},{dep.lat[m]:.6f},{dep.lon[m]:.6f}")
     return 0
 
 

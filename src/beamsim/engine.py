@@ -22,7 +22,7 @@ from . import __version__
 from . import channel as chn
 from . import clustering, geometry, precoding, scheduling
 from .errors import GeometryError, ValidationError
-from .link_adaptation import UserSinrMap, aggregate
+from .link_adaptation import UserSinrMap, aggregate, cluster_rates
 from .scenario import Scenario, check_density_supports_clusters, deploy_users
 
 # purpose tags for the per-iteration seed streams
@@ -38,6 +38,31 @@ def iteration_seed(master_seed: int, iteration: int, purpose: int) -> np.random.
 # ---------------------------------------------------------------------------
 # Per-iteration pipeline
 # ---------------------------------------------------------------------------
+
+@dataclass
+class Deployment:
+    """One iteration's users as arrays indexed by user id."""
+
+    lat: np.ndarray
+    lon: np.ndarray
+    slant: np.ndarray         # slant range, m
+    beam_id: np.ndarray       # serving beam id
+    beam_idx: np.ndarray      # index of the serving beam in scenario.beams
+
+
+@dataclass
+class IterationState:
+    """Everything an iteration schedules from, shared by all its policies."""
+
+    deployment: Deployment
+    h: np.ndarray             # (n_users, N_B) channel matrix with the iteration's phases
+    deployment_hash: str
+    channel_hash: str
+    partitions: list          # partitions[b]: ClusterPartition of beam b's users
+    member_lists: list        # member_lists[b][c]: global user indices of cluster c
+    eqvecs: list              # eqvecs[b]: (N_K_b, N_B) equivalent channel vectors
+    sectorisations: list      # sectorisations[b]: Sectorisation of beam b's clusters
+
 
 @dataclass
 class PolicyIterationData:
@@ -61,93 +86,116 @@ def _db(x):
     return 10.0 * np.log10(np.maximum(x, 1e-300))
 
 
-def run_iteration(scenario: Scenario, cluster_size: int, density: float, policies,
-                  iteration: int, collect_trace=False, collect_map=False) -> IterationResult:
-    cfg = scenario.config
-    beams = scenario.beams
-    n_beams = len(beams)
-    satellite = scenario.satellite()
-
-    users = deploy_users(beams, density, iteration_seed(cfg.master_seed, iteration, _SEED_DEPLOY),
-                         satellite)
-    lat = np.array([u.lat for u in users])
-    lon = np.array([u.lon for u in users])
-    slant = np.array([u.slant_range_m for u in users])
-    beam_of_user = np.array([u.beam_id for u in users])
-    beam_index = {b.beam_id: i for i, b in enumerate(beams)}
-    user_beam_idx = np.array([beam_index[b] for b in beam_of_user])
-
-    rf = chn.beam_rf_parameters(beams, satellite, cfg.tx_aperture_efficiency)
-    phases = chn.draw_phases(
-        n_beams, np.random.default_rng(iteration_seed(cfg.master_seed, iteration, _SEED_PHASES))
+def deploy(scenario: Scenario, density: float, iteration: int) -> Deployment:
+    """The users of one iteration, drawn from its deployment stream."""
+    users = deploy_users(
+        scenario.beams, density,
+        iteration_seed(scenario.config.master_seed, iteration, _SEED_DEPLOY),
+        scenario.satellite(),
     )
-    h_all = chn.channel_matrix(lat, lon, slant, user_beam_idx, rf, satellite, cfg, phases)
+    beam_id = np.array([u.beam_id for u in users])
+    index = {b.beam_id: i for i, b in enumerate(scenario.beams)}
+    return Deployment(
+        lat=np.array([u.lat for u in users]),
+        lon=np.array([u.lon for u in users]),
+        slant=np.array([u.slant_range_m for u in users]),
+        beam_id=beam_id,
+        beam_idx=np.array([index[b] for b in beam_id]),
+    )
 
-    deployment_hash = hashlib.sha256(
-        np.ascontiguousarray(np.column_stack([lat, lon, slant])).tobytes()
-    ).hexdigest()
-    channel_hash = hashlib.sha256(np.ascontiguousarray(h_all).tobytes()).hexdigest()
 
-    p_tx = cfg.tx_power(n_beams)
-    if cfg.regularization_mode == "paper":
-        alpha = cfg.noise_power_w / p_tx
-    else:
-        alpha = 1.0 / p_tx
-    nonprec_all = precoding.nonprecoded_sinr(h_all, user_beam_idx, p_tx)
+def _channel(scenario: Scenario, dep: Deployment, phases) -> np.ndarray:
+    cfg = scenario.config
+    satellite = scenario.satellite()
+    rf = chn.beam_rf_parameters(scenario.beams, satellite, cfg.tx_aperture_efficiency)
+    return chn.channel_matrix(dep.lat, dep.lon, dep.slant, dep.beam_idx, rf, satellite, cfg,
+                              phases)
+
+
+def build_iteration(scenario: Scenario, cluster_size: int, density: float,
+                    iteration: int) -> IterationState:
+    """Deploy, synthesize channels, cluster and sectorise one iteration."""
+    cfg = scenario.config
+    dep = deploy(scenario, density, iteration)
+    phases = chn.draw_phases(
+        len(scenario.beams),
+        np.random.default_rng(iteration_seed(cfg.master_seed, iteration, _SEED_PHASES)),
+    )
+    h = _channel(scenario, dep, phases)
 
     # per-beam clustering in the configured similarity space
-    partitions = []
-    member_lists = []      # member_lists[b][c]: global user indices of cluster c
-    eqvecs = []            # eqvecs[b]: (N_K_b, N_B) equivalent channel vectors
-    sectorisations = []
+    partitions, member_lists, eqvecs, sectorisations = [], [], [], []
     grid = cfg.sector_grid()
-    for bi, beam in enumerate(beams):
-        sel = np.flatnonzero(user_beam_idx == bi)
-        x, y = geometry.project_tangent(beam.center_lat, beam.center_lon, lat[sel], lon[sel])
+    for bi, beam in enumerate(scenario.beams):
+        sel = np.flatnonzero(dep.beam_idx == bi)
+        x, y = geometry.project_tangent(beam.center_lat, beam.center_lon,
+                                        dep.lat[sel], dep.lon[sel])
         xy = np.column_stack([x, y])
         if cfg.clustering_similarity == "euclidean":
             feats = xy
         else:
-            feats = clustering.channel_features(h_all[sel])
+            feats = clustering.channel_features(h[sel])
         part = clustering.max_dist_partition(feats, cluster_size, beam.beam_id)
         partitions.append(part)
         member_lists.append([sel[c] for c in part.clusters])
-        eqvecs.append(np.vstack([h_all[sel[c]].mean(axis=0) for c in part.clusters]))
-        bary = clustering.cluster_barycentres(xy, part)
+        eqvecs.append(np.vstack([h[sel[c]].mean(axis=0) for c in part.clusters]))
         polars = [
             geometry.normalized_polar_from_xy(beam.boundary_xy, px, py, clamp=True)
-            for px, py in bary
+            for px, py in clustering.cluster_barycentres(xy, part)
         ]
         sectorisations.append(geometry.sectorise(grid, beam.beam_id, polars))
+
+    return IterationState(
+        deployment=dep,
+        h=h,
+        deployment_hash=hashlib.sha256(
+            np.ascontiguousarray(np.column_stack([dep.lat, dep.lon, dep.slant])).tobytes()
+        ).hexdigest(),
+        channel_hash=hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest(),
+        partitions=partitions,
+        member_lists=member_lists,
+        eqvecs=eqvecs,
+        sectorisations=sectorisations,
+    )
+
+
+def run_iteration(scenario: Scenario, cluster_size: int, density: float, policies,
+                  iteration: int, collect_trace=False, collect_map=False) -> IterationResult:
+    cfg = scenario.config
+    state = build_iteration(scenario, cluster_size, density, iteration)
+    p_tx = cfg.tx_power(len(scenario.beams))
+    if cfg.regularization_mode == "paper":
+        alpha = cfg.noise_power_w / p_tx
+    else:
+        alpha = 1.0 / p_tx
+    nonprec_all = precoding.nonprecoded_sinr(state.h, state.deployment.beam_idx, p_tx)
 
     per_policy = {}
     for policy in policies:
         if policy == "random":
             seq = scheduling.random_schedule(
-                partitions, cfg.n_frames,
+                state.partitions, cfg.n_frames,
                 iteration_seed(cfg.master_seed, iteration, _SEED_RANDOM),
             )
         elif policy == "gsa":
             seq = scheduling.gsa_schedule(
-                partitions, sectorisations,
+                state.partitions, state.sectorisations,
                 iteration_seed(cfg.master_seed, iteration, _SEED_GSA),
             )
         else:
             raise ValidationError(f"unknown scheduler policy {policy!r}")
         per_policy[policy] = _evaluate_schedule(
-            scenario, seq, member_lists, eqvecs, h_all, nonprec_all, lat, lon,
-            beam_of_user, alpha, p_tx, collect_trace, collect_map,
+            scenario, seq, state, nonprec_all, alpha, p_tx, collect_trace, collect_map,
         )
 
-    return IterationResult(iteration, deployment_hash, channel_hash, per_policy)
+    return IterationResult(iteration, state.deployment_hash, state.channel_hash, per_policy)
 
 
-def _evaluate_schedule(scenario, seq, member_lists, eqvecs, h_all, nonprec_all,
-                       lat, lon, beam_of_user, alpha, p_tx, collect_trace, collect_map):
+def _evaluate_schedule(scenario, seq, state, nonprec_all, alpha, p_tx, collect_trace,
+                       collect_map):
     cfg = scenario.config
     n_beams = len(scenario.beams)
-    thresholds = scenario.modcod.thresholds_db
-    efficiencies = scenario.modcod.efficiencies
+    h_all, eqvecs, member_lists = state.h, state.eqvecs, state.member_lists
 
     n_frames = seq.n_frames
     rates = np.zeros((n_frames, n_beams))
@@ -172,10 +220,7 @@ def _evaluate_schedule(scenario, seq, member_lists, eqvecs, h_all, nonprec_all,
         prec = precoding.precoded_sinr(h_all[members], serving, w, p_tx)
         nonprec = nonprec_all[members]
 
-        offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        worst = np.minimum.reduceat(prec, offsets)
-        idx = np.searchsorted(thresholds, _db(worst), side="right") - 1
-        rates[fi] = np.where(idx >= 0, efficiencies[np.maximum(idx, 0)], 0.0)
+        rates[fi] = cluster_rates(prec, sizes, scenario.modcod)
         loss_flags[fi] = bool(np.any(prec < nonprec))
 
         if collect_map:
@@ -201,14 +246,15 @@ def _evaluate_schedule(scenario, seq, member_lists, eqvecs, h_all, nonprec_all,
 
     user_map = None
     if collect_map:
+        dep = state.deployment
         served = serve_count > 0
         mean_prec = np.full(len(h_all), np.nan)
         mean_prec[served] = _db(prec_sum[served] / serve_count[served])
         user_map = UserSinrMap(
-            beam_ids=beam_of_user.copy(),
+            beam_ids=dep.beam_id.copy(),
             user_ids=np.arange(len(h_all)),
-            lat=lat.copy(),
-            lon=lon.copy(),
+            lat=dep.lat.copy(),
+            lon=dep.lon.copy(),
             mean_precoded_db=mean_prec,
             mean_nonprecoded_db=_db(nonprec_all),
             frames_served=serve_count.copy(),
@@ -397,27 +443,17 @@ def _write_cell_outputs(out_dir, cluster_size, density, policy, results, report)
 def write_channel_map(scenario: Scenario, density, out_dir):
     """Debug dump of per-user channel magnitudes for the iteration-0 deployment.
 
-    Magnitudes are phase-independent, so the map is policy-independent; one
-    long-format row per (user, antenna).
+    Magnitudes do not depend on the random phases, which are left at zero, so
+    the map is policy-independent; one long-format row per (user, antenna).
     """
-    cfg = scenario.config
-    satellite = scenario.satellite()
-    users = deploy_users(scenario.beams, density,
-                         iteration_seed(cfg.master_seed, 0, _SEED_DEPLOY), satellite)
-    lat = np.array([u.lat for u in users])
-    lon = np.array([u.lon for u in users])
-    slant = np.array([u.slant_range_m for u in users])
-    beam_index = {b.beam_id: i for i, b in enumerate(scenario.beams)}
-    idx = np.array([beam_index[u.beam_id] for u in users])
-    rf = chn.beam_rf_parameters(scenario.beams, satellite, cfg.tx_aperture_efficiency)
-    h = chn.channel_matrix(lat, lon, slant, idx, rf, satellite, cfg,
-                           np.zeros(len(scenario.beams)))
-    mag_db = 20.0 * np.log10(np.abs(h))
+    dep = deploy(scenario, density, 0)
+    n_beams = len(scenario.beams)
+    mag_db = 20.0 * np.log10(np.abs(_channel(scenario, dep, np.zeros(n_beams))))
     path = os.path.join(out_dir, "channel_map.csv")
-    rows = []
-    for i, u in enumerate(users):
-        for j in range(len(scenario.beams)):
-            rows.append((u.beam_id, u.user_id, u.lat, u.lon, j, mag_db[i, j]))
+    rows = (
+        (dep.beam_id[i], i, dep.lat[i], dep.lon[i], j, mag_db[i, j])
+        for i in range(len(mag_db)) for j in range(n_beams)
+    )
     _write_csv(path, ["beam", "user", "lat", "lon", "antenna", "magnitude_db"], rows)
     return path
 

@@ -183,11 +183,6 @@ def ray_boundary_distance(boundary_xy, phi):
     return float(distinct[0])
 
 
-def edge_radius(beam: "Beam", phi: float) -> float:
-    """Beam-center-to-boundary distance (km) along azimuth phi."""
-    return ray_boundary_distance(beam.boundary_xy, phi % TAU)
-
-
 def edge_midpoints_xy(boundary_xy):
     v = np.asarray(boundary_xy, dtype=float)
     return (v + np.roll(v, -1, axis=0)) / 2.0
@@ -326,12 +321,6 @@ class Sectorisation:
     beam_id: int
     grid: SectorGrid
     members: list
-
-
-def assign_sector(sectorisation, p: NormalizedPolar) -> int:
-    """Sector index for a point; accepts a SectorGrid or a Sectorisation."""
-    grid = sectorisation.grid if isinstance(sectorisation, Sectorisation) else sectorisation
-    return grid.assign(p)
 
 
 def sectorise(grid: SectorGrid, beam_id: int, polars) -> Sectorisation:

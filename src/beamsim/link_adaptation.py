@@ -9,7 +9,6 @@ the GSA-minus-random gain, and the precoding-loss frame fraction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,15 +17,20 @@ from .errors import ValidationError
 from .scenario import ModCodTable
 
 
-def cluster_rate(member_sinrs_linear, modcod: ModCodTable) -> float:
-    """Spectral efficiency of one scheduled cluster (bit/s/Hz)."""
+def cluster_rates(member_sinrs_linear, sizes, modcod: ModCodTable) -> np.ndarray:
+    """Spectral efficiency (bit/s/Hz) of each scheduled cluster.
+
+    `member_sinrs_linear` holds the members' SINRs cluster after cluster and
+    `sizes` the member count of each cluster; a cluster gets the efficiency
+    of its worst member.
+    """
     g = np.asarray(member_sinrs_linear, dtype=float)
-    if g.size == 0:
-        raise ValidationError("cluster rate needs at least one member SINR")
-    worst = float(np.min(g))
-    if worst <= 0.0:
-        return 0.0
-    return float(modcod.efficiency(10.0 * math.log10(worst)))
+    sizes = np.asarray(sizes, dtype=int)
+    if sizes.size == 0 or np.any(sizes < 1) or sizes.sum() != g.size:
+        raise ValidationError("cluster rates need at least one member SINR per cluster")
+    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    worst = np.minimum.reduceat(g, offsets)
+    return modcod.efficiency(10.0 * np.log10(np.maximum(worst, 1e-300)))
 
 
 @dataclass

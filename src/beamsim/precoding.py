@@ -75,11 +75,3 @@ def nonprecoded_sinr(user_vectors, serving_beam, p_tx) -> np.ndarray:
     sig = g[np.arange(len(h)), b]
     interference = g.sum(axis=1) - sig
     return sig / (interference + 1.0)
-
-
-def evaluate_sinr(user_vectors, serving_beam, precoder, p_tx):
-    """(precoded, non-precoded) SINR arrays for the scheduled users."""
-    return (
-        precoded_sinr(user_vectors, serving_beam, precoder, p_tx),
-        nonprecoded_sinr(user_vectors, serving_beam, p_tx),
-    )

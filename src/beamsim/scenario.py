@@ -17,7 +17,6 @@ from .errors import ValidationError
 
 TAU = 2.0 * math.pi
 
-SCHEDULER_POLICIES = ("random", "gsa")
 SIMILARITY_METRICS = ("euclidean", "channel")
 NORMALIZATION_MODES = ("sum-power", "per-antenna", "none")
 REGULARIZATION_MODES = ("paper", "normalized")
@@ -46,13 +45,12 @@ class ScenarioConfig:
     user_density: float             # users/km^2
     cluster_size: int
     monte_carlo_iterations: int
-    scheduler_policy: str           # random | gsa
     clustering_similarity: str      # euclidean | channel
     sector_radii: tuple             # ascending, first = beam-center radius, last = 1.0
     sector_angles: tuple            # ascending radians, last = 2pi
     noise_temperature: float        # K, applied to every beam
     user_bandwidth: float           # Hz
-    master_seed: int
+    master_seed: int                # in [0, 2**32)
     # model switches (defaults documented in README)
     normalization_mode: str = "sum-power"
     regularization_mode: str = "paper"      # paper: alpha = P_Z/P_TX; normalized: 1/P_TX
@@ -115,8 +113,11 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError("config field 'cluster_size' must be >= 1")
     if cfg.monte_carlo_iterations < 1:
         raise ValidationError("config field 'monte_carlo_iterations' must be >= 1")
-    if cfg.scheduler_policy not in SCHEDULER_POLICIES:
-        raise ValidationError(f"config field 'scheduler_policy' must be one of {SCHEDULER_POLICIES}")
+    if not 0 <= cfg.master_seed < 2**32:
+        # SeedSequence splits larger seeds into 32-bit words, aliasing other seeds' streams
+        raise ValidationError(
+            f"config field 'master_seed' must lie in [0, 2**32), got {cfg.master_seed}"
+        )
     if cfg.clustering_similarity not in SIMILARITY_METRICS:
         raise ValidationError(f"config field 'clustering_similarity' must be one of {SIMILARITY_METRICS}")
     if cfg.normalization_mode not in NORMALIZATION_MODES:

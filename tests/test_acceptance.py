@@ -15,7 +15,12 @@ from scipy import stats
 
 from beamsim import engine, geometry
 from beamsim.geometry import SectorGrid
-from beamsim.precoding import evaluate_sinr, mmse_precoder, normalize_power
+from beamsim.precoding import (
+    mmse_precoder,
+    nonprecoded_sinr,
+    normalize_power,
+    precoded_sinr,
+)
 from beamsim.scheduling import gsa_schedule, random_schedule
 
 from conftest import bundled_scenario
@@ -84,7 +89,8 @@ def test_c2_sinr_oracle():
         w = normalize_power(mmse_precoder(h_frame, 0.05), "sum-power", 2.0)
         h_users = random_complex(rng, (5, 3))
         serving = rng.integers(0, 3, size=5)
-        prec, nonprec = evaluate_sinr(h_users, serving, w, 2.0)
+        prec = precoded_sinr(h_users, serving, w, 2.0)
+        nonprec = nonprecoded_sinr(h_users, serving, 2.0)
         o_prec, o_nonprec = brute_force_sinr(h_users, serving, w, 2.0)
         err = max(
             np.max(np.abs(prec - o_prec) / o_prec),

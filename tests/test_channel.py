@@ -10,18 +10,16 @@ from beamsim.channel import (
     GAIN_FLOOR_REL,
     _SERIES_MAX_U,
     antenna_gain,
-    assemble_frame_matrix,
     beam_rf_parameters,
     bessel_taper_gain,
-    channel_coefficient,
     channel_matrix,
     draw_phases,
-    equivalent_cluster_vector,
     gaussian_gain,
     taper_bracket,
 )
+from beamsim.engine import build_iteration
 from beamsim.errors import ValidationError
-from beamsim.scenario import UserTerminal, config_from_mapping
+from beamsim.scenario import config_from_mapping
 
 from test_scenario import table_config
 
@@ -143,11 +141,13 @@ def test_magnitude_matches_link_budget(cfg, scenario7):
     lat, lon = geometry.unproject_tangent(beam.center_lat, beam.center_lon, 80.0, -40.0)
     ecef = geometry.geodetic_to_ecef_km(float(lat), float(lon))
     slant_m = float(np.linalg.norm(ecef - sat)) * 1000.0
-    user = UserTerminal(0, 1, float(lat), float(lon), slant_m)
 
     phases = np.zeros(len(scenario7.beams))
     j = 2
-    h = channel_coefficient(user, j, rf, sat, cfg, phases)
+    row = channel_matrix(np.array([float(lat)]), np.array([float(lon)]), np.array([slant_m]),
+                         np.array([0]), rf, sat, cfg, phases)
+    assert row.shape == (1, len(scenario7.beams))
+    h = complex(row[0, j])
 
     # independent oracle: plain-formula evaluation
     lam = 299792458.0 / 19.5e9
@@ -225,26 +225,16 @@ def test_phase_modes(cfg, scenario7):
 
 
 # ---------------------------------------------------------------------------
-# cluster averaging and frame assembly
+# cluster averaging
 # ---------------------------------------------------------------------------
 
-def test_equivalent_vector_examples():
-    h = np.array([1 + 2j, 3 - 1j])
-    assert np.array_equal(equivalent_cluster_vector([h]), h)
-    assert np.allclose(equivalent_cluster_vector([h, -h]), 0.0)
-    assert np.allclose(equivalent_cluster_vector([h, h, h, h]), h)
-    with pytest.raises(ValidationError):
-        equivalent_cluster_vector(np.empty((0, 2)))
-
-
-def test_frame_matrix_assembly():
-    v1 = np.array([1 + 0j, 2 + 1j])
-    v2 = np.array([0 - 1j, 3 + 0j])
-    m = assemble_frame_matrix([v1, v2])
-    assert np.array_equal(m, np.vstack([v1, v2]))
-    m_perm = assemble_frame_matrix([v2, v1])
-    assert np.array_equal(m_perm, np.vstack([v2, v1]))
-    with pytest.raises(ValidationError):
-        assemble_frame_matrix([v1, np.array([1.0 + 0j])])
-    with pytest.raises(ValidationError):
-        assemble_frame_matrix([])
+def test_equivalent_vector_examples(scenario7):
+    """Every cluster's equivalent vector is its members' mean channel vector."""
+    for k in (1, 2):
+        state = build_iteration(scenario7, k, scenario7.config.user_density, 0)
+        for clusters, eqvecs in zip(state.member_lists, state.eqvecs):
+            assert eqvecs.shape == (len(clusters), scenario7.n_beams)
+            for members, v in zip(clusters, eqvecs):
+                if k == 1:      # a single member is its own equivalent vector
+                    assert np.array_equal(v, state.h[members[0]])
+                assert np.allclose(v, state.h[members].mean(axis=0), rtol=1e-14, atol=0.0)

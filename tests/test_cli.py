@@ -1,8 +1,13 @@
+import numpy as np
 import pytest
 import yaml
 
+import beamsim
 from beamsim.cli import data_path, main
+from beamsim.engine import build_iteration
+from beamsim.geometry import satellite_ecef_km
 
+from conftest import bundled_scenario
 from test_scenario import table_config
 
 
@@ -105,11 +110,68 @@ def test_run_partial_failure_exit_one(small_config, tmp_path, capsys):
     assert (out / "K2_rho0.00025" / "random" / "rates.csv").exists()
 
 
-def test_cluster_dumps_partitions(small_config, capsys):
-    assert main(["cluster", "--config", small_config, "--beams", hex7()]) == 0
+def test_cluster_dumps_partitions(capsys):
+    # the partitions run uses in iteration 0; the bundled config clusters in channel space
+    assert main(["cluster", "--beams", hex7()]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "beam,cluster,user,lat,lon"
-    assert len(lines) > 100
+    scenario = bundled_scenario("beams_hex7.json")
+    cfg = scenario.config
+    state = build_iteration(scenario, cfg.cluster_size, cfg.user_density, 0)
+    dep = state.deployment
+    expected = [
+        f"{beam.beam_id},{ci},{m},{dep.lat[m]:.6f},{dep.lon[m]:.6f}"
+        for beam, part, sel in zip(scenario.beams, state.partitions,
+                                   (np.flatnonzero(dep.beam_idx == b)
+                                    for b in range(scenario.n_beams)))
+        for ci, cluster in enumerate(part.clusters)
+        for m in sel[cluster]
+    ]
+    assert lines == ["beam,cluster,user,lat,lon"] + expected
+
+
+def test_channel_map_matches_public_api(small_config, tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", small_config, "--beams", hex7(), "--cluster-size", "2",
+                 "--iterations", "1", "--no-traces", "--channel-map", "--out", str(out)]) == 0
+    lines = (out / "K2_rho0.00025" / "channel_map.csv").read_text().splitlines()
+    assert lines[0] == "beam,user,lat,lon,antenna,magnitude_db"
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+    # iteration 0's users and their channels with zero phases, rebuilt by hand
+    cfg = beamsim.load_config(small_config)
+    beams = beamsim.load_beams(hex7())
+    sat = satellite_ecef_km(cfg.satellite_longitude)
+    users = beamsim.deploy_users(beams, cfg.user_density,
+                                 np.random.SeedSequence((cfg.master_seed, 0, 0)), sat)
+    index = {b.beam_id: i for i, b in enumerate(beams)}
+    rf = beamsim.beam_rf_parameters(beams, sat, cfg.tx_aperture_efficiency)
+    h = beamsim.channel_matrix(
+        np.array([u.lat for u in users]), np.array([u.lon for u in users]),
+        np.array([u.slant_range_m for u in users]),
+        np.array([index[u.beam_id] for u in users]), rf, sat, cfg, np.zeros(len(beams)),
+    )
+    n_users, n_beams = h.shape
+    assert len(rows) == n_users * n_beams
+    rows = rows.reshape(n_users, n_beams, 6)
+    assert np.array_equal(rows[:, :, 0], np.repeat([[u.beam_id] for u in users], n_beams, 1))
+    assert np.array_equal(rows[:, :, 1], np.repeat([[u.user_id] for u in users], n_beams, 1))
+    assert np.allclose(rows[:, 0, 2], [u.lat for u in users], rtol=1e-9)
+    assert np.allclose(rows[:, 0, 3], [u.lon for u in users], rtol=1e-9)
+    assert np.array_equal(rows[:, :, 4], np.tile(np.arange(n_beams), (n_users, 1)))
+    assert np.allclose(rows[:, :, 5], 20.0 * np.log10(np.abs(h)), rtol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32 + 5])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_seed_outside_32_bits_rejected(command, seed, small_config, tmp_path, capsys):
+    argv = [command, "--config", small_config, "--beams", hex7(), "--seed", str(seed)]
+    if command == "run":
+        argv += ["--iterations", "1", "--no-traces", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'master_seed' must lie in [0, 2**32)")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_reaggregates(small_config, tmp_path, capsys):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamsim import geometry
-from beamsim.channel import beam_rf_parameters, channel_matrix, draw_phases
 from beamsim.clustering import (
     TIE_RTOL,
     ClusterPartition,
@@ -14,9 +13,8 @@ from beamsim.clustering import (
     cluster_barycentres,
     max_dist_partition,
 )
-from beamsim.engine import _SEED_DEPLOY, _SEED_PHASES, iteration_seed
+from beamsim.engine import build_iteration
 from beamsim.errors import ValidationError
-from beamsim.scenario import deploy_users
 
 from conftest import bundled_scenario
 
@@ -205,36 +203,22 @@ def test_matches_reference_on_random_features(seed, n, k, dim, log_scale, offset
     assert_same_partition(max_dist_partition(feats, k), reference_max_dist(feats, k))
 
 
-def bundled_features(layout):
-    """Per-beam (position, channel) features of the bundled config's iteration 0."""
-    scenario = bundled_scenario(layout)
-    cfg = scenario.config
-    beams = scenario.beams
-    sat = scenario.satellite()
-    users = deploy_users(beams, cfg.user_density,
-                         iteration_seed(cfg.master_seed, 0, _SEED_DEPLOY), sat)
-    lat = np.array([u.lat for u in users])
-    lon = np.array([u.lon for u in users])
-    slant = np.array([u.slant_range_m for u in users])
-    index = {b.beam_id: i for i, b in enumerate(beams)}
-    beam_idx = np.array([index[u.beam_id] for u in users])
-    rf = beam_rf_parameters(beams, sat, cfg.tx_aperture_efficiency)
-    phases = draw_phases(
-        len(beams), np.random.default_rng(iteration_seed(cfg.master_seed, 0, _SEED_PHASES))
-    )
-    h = channel_matrix(lat, lon, slant, beam_idx, rf, sat, cfg, phases)
-    for bi, beam in enumerate(beams):
-        sel = np.flatnonzero(beam_idx == bi)
-        x, y = geometry.project_tangent(beam.center_lat, beam.center_lon, lat[sel], lon[sel])
-        yield np.column_stack([x, y]), channel_features(h[sel])
-
-
 @pytest.mark.parametrize("layout", ["beams_hex7.json", "beams_hex19.json", "beams_europe71.json"])
 def test_matches_reference_on_bundled_layouts(layout):
-    for xy, chan in bundled_features(layout):
-        for feats in (xy, chan):
+    """Both feature spaces of the bundled config's iteration 0, as the engine builds them."""
+    scenario = bundled_scenario(layout)
+    assert scenario.config.clustering_similarity == "channel"
+    state = build_iteration(scenario, 8, scenario.config.user_density, 0)
+    dep = state.deployment
+    for bi, beam in enumerate(scenario.beams):
+        sel = np.flatnonzero(dep.beam_idx == bi)
+        x, y = geometry.project_tangent(beam.center_lat, beam.center_lon,
+                                        dep.lat[sel], dep.lon[sel])
+        chan = channel_features(state.h[sel])
+        for feats in (np.column_stack([x, y]), chan):
             for k in (1, 2, 4, 8):
                 assert_same_partition(max_dist_partition(feats, k), reference_max_dist(feats, k))
+        assert_same_partition(state.partitions[bi], reference_max_dist(chan, 8))
 
 
 def test_determinism():

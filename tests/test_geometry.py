@@ -9,9 +9,8 @@ from beamsim.geometry import (
     BEAM_CENTER_SECTOR,
     NormalizedPolar,
     SectorGrid,
-    assign_sector,
-    edge_radius,
     normalized_polar_from_xy,
+    ray_boundary_distance,
     sectorise,
     to_normalized_polar,
 )
@@ -22,8 +21,12 @@ TAU = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# edge_radius
+# edge radius: distance from the beam center to the boundary along an azimuth
 # ---------------------------------------------------------------------------
+
+def edge_radius(beam, phi):
+    return ray_boundary_distance(beam.boundary_xy, phi)
+
 
 def test_edge_radius_circle_is_constant(circle_beam):
     for phi in np.linspace(0.0, TAU, 17, endpoint=False):
@@ -48,7 +51,7 @@ def test_edge_radius_missing_boundary_raises():
     # polygon translated away from the origin: the +x ray never meets it
     poly = regular_polygon_xy(6, 10.0) + np.array([-100.0, 0.0])
     with pytest.raises(GeometryError):
-        geometry.ray_boundary_distance(poly, 0.0)
+        ray_boundary_distance(poly, 0.0)
 
 
 def test_non_star_shaped_polygon_warns_and_takes_nearest():
@@ -208,8 +211,8 @@ def test_sectorise_groups_members():
     assert list(s.members[5]) == [1, 2]
     assert list(s.members[7]) == [3]
     assert sum(len(m) for m in s.members) == 4
-    assert assign_sector(s, polars[1]) == 5
-    assert assign_sector(grid, polars[0]) == BEAM_CENTER_SECTOR
+    assert s.grid.assign(polars[1]) == 5
+    assert grid.assign(polars[0]) == BEAM_CENTER_SECTOR
 
 
 def test_neighbor_order_prefers_close_rings_then_wedges():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from beamsim.errors import ValidationError
-from beamsim.link_adaptation import aggregate, aggregate_policy, cluster_rate
+from beamsim.link_adaptation import aggregate, aggregate_policy, cluster_rates
 from beamsim.scenario import ModCodTable
 
 
@@ -19,15 +19,26 @@ def lin(db):
 # cluster rate
 # ---------------------------------------------------------------------------
 
+def cluster_rate(member_sinrs, table):
+    """Rate of a single cluster through the per-frame `cluster_rates`."""
+    rates = cluster_rates(member_sinrs, [len(member_sinrs)], table)
+    assert rates.shape == (1,)
+    return rates[0]
+
+
 def test_minimum_member_rules(table):
     # members at 10 dB and 3 dB: the 3 dB user picks the ModCod, not the 10 dB one
     rate = cluster_rate([lin(10.0), lin(3.0)], table)
     assert rate == 1.0          # 3 dB falls in [1, 5)
     assert cluster_rate([lin(10.0)], table) == 3.0
+    # a frame of clusters: each cluster's own worst member picks its ModCod
+    sinrs = lin(np.array([10.0, 3.0, 20.0, -5.0, 6.0, 9.5, 12.0]))
+    assert cluster_rates(sinrs, [2, 1, 1, 3], table).tolist() == [1.0, 3.0, 0.0, 2.0]
 
 
 def test_outage_below_table(table):
     assert cluster_rate([lin(-5.0), lin(20.0)], table) == 0.0
+    assert cluster_rate([0.0], table) == 0.0
 
 
 def test_exact_threshold_inclusive(table):
@@ -37,7 +48,13 @@ def test_exact_threshold_inclusive(table):
 
 def test_empty_cluster_rejected(table):
     with pytest.raises(ValidationError):
-        cluster_rate([], table)
+        cluster_rates([], [0], table)
+    with pytest.raises(ValidationError):
+        cluster_rates([], [], table)
+    with pytest.raises(ValidationError):
+        cluster_rates([lin(3.0), lin(4.0)], [2, 0], table)
+    with pytest.raises(ValidationError):
+        cluster_rates([lin(3.0), lin(4.0)], [1], table)
 
 
 def test_rate_monotone_in_member_sinr(table):

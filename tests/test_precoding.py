@@ -3,7 +3,6 @@ import pytest
 
 from beamsim.errors import ValidationError
 from beamsim.precoding import (
-    evaluate_sinr,
     mmse_precoder,
     nonprecoded_sinr,
     normalize_power,
@@ -114,7 +113,7 @@ def test_single_beam_interference_free():
     h = np.array([[0.8 - 0.3j]])
     w = np.array([[1.2 + 0.1j]])
     p_tx = 2.5
-    prec, nonprec = evaluate_sinr(h, [0], w, p_tx)
+    prec, nonprec = precoded_sinr(h, [0], w, p_tx), nonprecoded_sinr(h, [0], p_tx)
     assert prec[0] == pytest.approx(p_tx * abs(h[0, 0] * w[0, 0]) ** 2, rel=1e-12)
     assert nonprec[0] == pytest.approx(p_tx * abs(h[0, 0]) ** 2, rel=1e-12)
 
@@ -144,7 +143,8 @@ def test_matches_brute_force_oracle():
         w = normalize_power(mmse_precoder(h_frame, 0.1), "sum-power", 1.5)
         h_users = random_complex(rng, (6, 3))
         serving = rng.integers(0, 3, size=6)
-        prec, nonprec = evaluate_sinr(h_users, serving, w, 1.5)
+        prec = precoded_sinr(h_users, serving, w, 1.5)
+        nonprec = nonprecoded_sinr(h_users, serving, 1.5)
         oracle_prec, oracle_nonprec = brute_force_sinr(h_users, serving, w, 1.5)
         assert np.allclose(prec, oracle_prec, rtol=1e-12)
         assert np.allclose(nonprec, oracle_nonprec, rtol=1e-12)
@@ -156,7 +156,7 @@ def test_orthogonal_rows_precoding_helps():
         h = scale * np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
         p_tx = 1.8
         w = normalize_power(mmse_precoder(h, 1e-3), "sum-power", p_tx)
-        prec, nonprec = evaluate_sinr(h, [0, 1], w, p_tx)
+        prec, nonprec = precoded_sinr(h, [0, 1], w, p_tx), nonprecoded_sinr(h, [0, 1], p_tx)
         assert (prec >= nonprec).all()
 
 
@@ -203,7 +203,8 @@ def test_well_separated_physical_frames_mostly_gain():
             continue
         frames += 1
         w = normalize_power(mmse_precoder(h, alpha), "sum-power", p_tx)
-        prec, nonprec = evaluate_sinr(h, np.arange(7), w, p_tx)
+        prec = precoded_sinr(h, np.arange(7), w, p_tx)
+        nonprec = nonprecoded_sinr(h, np.arange(7), p_tx)
         frames_all_gain += int((prec >= nonprec).all())
         users_total += 7
         users_gain += int((prec >= nonprec).sum())
@@ -218,7 +219,7 @@ def test_collocated_adjacent_users_can_lose():
     h = np.vstack([base, base * (1.0 + 1e-3) + np.array([1e-4j, 0.0])])
     p_tx = 1.0
     w = normalize_power(mmse_precoder(h, 1e-9), "sum-power", p_tx)
-    prec, nonprec = evaluate_sinr(h, [0, 1], w, p_tx)
+    prec, nonprec = precoded_sinr(h, [0, 1], w, p_tx), nonprecoded_sinr(h, [0, 1], p_tx)
     assert np.any(prec < nonprec)
 
 

@@ -36,7 +36,6 @@ def table_config(**overrides):
         "user_density": 2.5e-3,
         "cluster_size": 2,
         "monte_carlo_iterations": 10,
-        "scheduler_policy": "random",
         "clustering_similarity": "channel",
         "sector_radii": [0.2, 0.6, 0.8, 1.0],
         "sector_angles": [math.pi / 2, math.pi, TAU],
@@ -77,10 +76,11 @@ def test_radii_not_ending_at_one_rejected():
         {"user_density": 0.0},
         {"cluster_size": 0},
         {"rx_antenna_efficiency": 1.5},
-        {"scheduler_policy": "round_robin"},
+        {"master_seed": -1},
         {"clustering_similarity": "cosine"},
         {"sector_angles": [math.pi, math.pi / 2, TAU]},
         {"noise_temperature": -10.0},
+        {"master_seed": 2**32},
     ],
 )
 def test_invalid_field_rejected(bad):
@@ -91,6 +91,9 @@ def test_invalid_field_rejected(bad):
 def test_unknown_and_missing_fields_named():
     with pytest.raises(ValidationError, match="user_densty"):
         config_from_mapping(table_config(user_densty=1.0))
+    # the scheduler is chosen per run (`run --scheduler`), not in the config
+    with pytest.raises(ValidationError, match=r"unknown config field\(s\): \['scheduler_policy'\]"):
+        config_from_mapping(table_config(scheduler_policy="random"))
     data = table_config()
     del data["master_seed"]
     with pytest.raises(ValidationError, match="master_seed"):
@@ -102,6 +105,7 @@ def test_load_config_from_yaml(tmp_path):
     path.write_text(yaml.safe_dump(table_config()))
     cfg = load_config(path)
     assert cfg.master_seed == 7
+    assert config_from_mapping(table_config(master_seed=2**32 - 1)).master_seed == 2**32 - 1
     with pytest.raises(ValidationError):
         load_config(tmp_path / "absent.yaml")
 
