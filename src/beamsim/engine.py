@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -22,7 +21,7 @@ from . import __version__
 from . import channel as chn
 from . import clustering, geometry, precoding, scheduling
 from .errors import GeometryError, ValidationError
-from .link_adaptation import UserSinrMap, aggregate, cluster_rates
+from .link_adaptation import aggregate, cluster_rates
 from .scenario import Scenario, check_density_supports_clusters, deploy_users
 
 # purpose tags for the per-iteration seed streams
@@ -66,12 +65,14 @@ class IterationState:
 
 @dataclass
 class PolicyIterationData:
+    """One policy's frames in one iteration; the tables map column name -> 1-D array."""
+
     rates: np.ndarray                     # (n_frames, N_B) bit/s/Hz
     loss_flags: np.ndarray                # (n_frames,) bool
     sectors: np.ndarray                   # (n_frames,) sector label (NO_SECTOR for random)
-    schedule_rows: np.ndarray | None      # frame, sector, beam, cluster, borrowed
-    sinr_rows: np.ndarray | None          # frame, beam, user, precoded_db, nonprecoded_db
-    user_map: UserSinrMap | None
+    schedule: dict | None = None          # a row per (frame, beam)
+    sinr_trace: dict | None = None        # a row per (frame, served user), SINRs in dB
+    user_map: dict | None = None          # a row per user: mean SINRs over its frames
 
 
 @dataclass
@@ -201,10 +202,8 @@ def _evaluate_schedule(scenario, seq, state, nonprec_all, alpha, p_tx, collect_t
     rates = np.zeros((n_frames, n_beams))
     loss_flags = np.zeros(n_frames, dtype=bool)
     sectors = np.array([f.sector for f in seq.frames], dtype=int)
-    sched_rows = [] if collect_trace else None
-    sinr_rows = [] if collect_trace else None
-    prec_sum = np.zeros(len(h_all)) if collect_map else None
-    serve_count = np.zeros(len(h_all), dtype=int) if collect_map else None
+    keep_sinrs = collect_trace or collect_map
+    frame_members, frame_prec = [], []
 
     beam_range = np.arange(n_beams)
     for fi, frame in enumerate(seq.frames):
@@ -218,55 +217,55 @@ def _evaluate_schedule(scenario, seq, state, nonprec_all, alpha, p_tx, collect_t
         members = np.concatenate(members_by_beam)
         serving = np.repeat(beam_range, sizes)
         prec = precoding.precoded_sinr(h_all[members], serving, w, p_tx)
-        nonprec = nonprec_all[members]
 
         rates[fi] = cluster_rates(prec, sizes, scenario.modcod)
-        loss_flags[fi] = bool(np.any(prec < nonprec))
+        loss_flags[fi] = bool(np.any(prec < nonprec_all[members]))
+        if keep_sinrs:
+            frame_members.append(members)
+            frame_prec.append(prec)
 
-        if collect_map:
-            np.add.at(prec_sum, members, prec)
-            np.add.at(serve_count, members, 1)
-        if collect_trace:
-            borrowed = (
-                frame.borrowed.astype(int) if frame.borrowed is not None
-                else np.zeros(n_beams, dtype=int)
-            )
-            sched_rows.append(
-                np.column_stack([
-                    np.full(n_beams, frame.frame), np.full(n_beams, frame.sector),
-                    beam_range, sel, borrowed,
-                ])
-            )
-            sinr_rows.append(
-                np.column_stack([
-                    np.full(len(members), frame.frame), serving, members,
-                    _db(prec), _db(nonprec),
-                ])
-            )
-
-    user_map = None
+    data = PolicyIterationData(rates, loss_flags, sectors)
+    if not keep_sinrs:
+        return data
+    members = np.concatenate(frame_members)
+    prec = np.concatenate(frame_prec)
+    if collect_trace:
+        frame_no = np.array([f.frame for f in seq.frames])
+        no_borrowing = np.zeros(n_beams, dtype=bool)
+        data.schedule = {
+            "frame": np.repeat(frame_no, n_beams),
+            "sector": np.repeat(sectors, n_beams),
+            "beam": np.tile(beam_range, n_frames),
+            "cluster": seq.selections().ravel(),
+            "borrowed": np.concatenate([
+                no_borrowing if f.borrowed is None else f.borrowed for f in seq.frames
+            ]),
+        }
+        data.sinr_trace = {
+            "frame": np.repeat(frame_no, [len(m) for m in frame_members]),
+            "beam": state.deployment.beam_idx[members],
+            "user": members,
+            "precoded_db": _db(prec),
+            "nonprecoded_db": _db(nonprec_all[members]),
+        }
     if collect_map:
-        dep = state.deployment
+        n_users = len(h_all)
+        serve_count = np.bincount(members, minlength=n_users)
+        prec_sum = np.bincount(members, weights=prec, minlength=n_users)
         served = serve_count > 0
-        mean_prec = np.full(len(h_all), np.nan)
+        mean_prec = np.full(n_users, np.nan)
         mean_prec[served] = _db(prec_sum[served] / serve_count[served])
-        user_map = UserSinrMap(
-            beam_ids=dep.beam_id.copy(),
-            user_ids=np.arange(len(h_all)),
-            lat=dep.lat.copy(),
-            lon=dep.lon.copy(),
-            mean_precoded_db=mean_prec,
-            mean_nonprecoded_db=_db(nonprec_all),
-            frames_served=serve_count.copy(),
-        )
-    return PolicyIterationData(
-        rates=rates,
-        loss_flags=loss_flags,
-        sectors=sectors,
-        schedule_rows=np.vstack(sched_rows) if sched_rows else None,
-        sinr_rows=np.vstack(sinr_rows) if sinr_rows else None,
-        user_map=user_map,
-    )
+        dep = state.deployment
+        data.user_map = {
+            "beam": dep.beam_id,
+            "user": np.arange(n_users),
+            "lat": dep.lat,
+            "lon": dep.lon,
+            "mean_precoded_db": mean_prec,
+            "mean_nonprecoded_db": _db(nonprec_all),
+            "frames_served": serve_count,
+        }
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +278,17 @@ def _iteration_task(args):
 
 
 def run_cell(scenario: Scenario, cluster_size: int, density: float, policies=POLICIES,
-             iterations=None, threads=1, collect_trace=False, map_iterations=1):
+             iterations=None, threads=1, collect_trace=False):
     """All Monte Carlo iterations of one (cluster size, density) cell.
 
-    Returns (list of IterationResult in iteration order, MetricsReport).
+    Returns (list of IterationResult in iteration order, MetricsReport); only
+    iteration 0 carries user maps.
     """
     cfg = scenario.config
     iterations = cfg.monte_carlo_iterations if iterations is None else int(iterations)
     check_density_supports_clusters(scenario, cluster_size, density)
     tasks = [
-        (scenario, cluster_size, density, tuple(policies), it, collect_trace,
-         it < map_iterations)
+        (scenario, cluster_size, density, tuple(policies), it, collect_trace, it == 0)
         for it in range(iterations)
     ]
     if threads and threads > 1:
@@ -300,12 +299,7 @@ def run_cell(scenario: Scenario, cluster_size: int, density: float, policies=POL
 
     rates_by_policy = {p: [r.per_policy[p].rates for r in results] for p in policies}
     loss_by_policy = {p: [r.per_policy[p].loss_flags for r in results] for p in policies}
-    user_maps = {
-        p: results[0].per_policy[p].user_map
-        for p in policies
-        if results and results[0].per_policy[p].user_map is not None
-    }
-    report = aggregate(cluster_size, density, rates_by_policy, loss_by_policy, user_maps)
+    report = aggregate(cluster_size, density, rates_by_policy, loss_by_policy)
     return results, report
 
 
@@ -347,95 +341,90 @@ def scenario_hash(scenario: Scenario) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_, int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    return "nan" if math.isnan(value) else f"{value:.10g}"
+# Rows per formatted block of a table; bounds the strings held at once.
+_CHUNK_ROWS = 65536
 
 
-def _write_csv(path, header, rows):
+def _column_text(column: np.ndarray) -> list:
+    """A column's values as CSV fields, formatted by its dtype."""
+    kind = column.dtype.kind
+    if kind == "b":
+        return [str(v) for v in column.astype(np.uint8).tolist()]
+    if kind in "iu":
+        return [str(v) for v in column.tolist()]
+    if kind == "f":
+        return [format(v, ".10g") for v in column.tolist()]
+    if kind == "U":
+        return column.tolist()
+    raise TypeError(f"no CSV format for dtype {column.dtype}")
+
+
+def _write_table(path, columns):
+    """Write {column name: 1-D values} as CSV, `_CHUNK_ROWS` rows at a time.
+
+    Integers and bools are written as integers, floats to 10 significant
+    digits (`nan` for NaN), strings as they are.
+    """
+    arrays = [np.asarray(c) for c in columns.values()]
+    n_rows = len(arrays[0])
+    if any(len(a) != n_rows for a in arrays):
+        raise ValueError(f"{path}: columns differ in length")
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            fields = [_column_text(a[start:start + _CHUNK_ROWS]) for a in arrays]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
-def _cell_dir(out_dir, cluster_size, density, policy):
-    return os.path.join(out_dir, f"K{cluster_size}_rho{density:g}", policy)
+def _stack(iterations, tables):
+    """Per-iteration tables as one, led by an iteration column."""
+    lengths = [len(next(iter(t.values()))) for t in tables]
+    return {
+        "iteration": np.repeat(iterations, lengths),
+        **{name: np.concatenate([t[name] for t in tables]) for name in tables[0]},
+    }
 
 
 def _write_cell_outputs(out_dir, cluster_size, density, policy, results, report):
-    cell = _cell_dir(out_dir, cluster_size, density, policy)
+    cell = os.path.join(out_dir, f"K{cluster_size}_rho{density:g}", policy)
     os.makedirs(cell, exist_ok=True)
-    written = []
 
     agg = report.policies[policy]
-    rows = [
-        (r.iteration, agg.per_iteration_eta[i], agg.per_iteration_loss_fraction[i],
-         agg.per_iteration_frames[i], r.deployment_hash, r.channel_hash)
-        for i, r in enumerate(results)
-    ]
-    path = os.path.join(cell, "iterations.csv")
-    with open(path, "w") as fh:
-        fh.write("iteration,eta_bar,loss_frame_fraction,n_frames,deployment_hash,channel_hash\n")
-        for it, eta, loss, nf, dh, ch in rows:
-            fh.write(f"{it},{_fmt(eta)},{_fmt(loss)},{nf},{dh},{ch}\n")
-    written.append(path)
+    data = [r.per_policy[policy] for r in results]
+    iterations = [r.iteration for r in results]
+    frames = _stack(iterations, [
+        {"frame": np.arange(1, len(d.rates) + 1), "sector": d.sectors, "loss": d.loss_flags}
+        for d in data
+    ])
+    rates = np.vstack([d.rates for d in data])
+    n_beams = rates.shape[1]
+    tables = {
+        "iterations.csv": {
+            "iteration": iterations,
+            "eta_bar": agg.per_iteration_eta,
+            "loss_frame_fraction": agg.per_iteration_loss_fraction,
+            "n_frames": agg.per_iteration_frames,
+            "deployment_hash": [r.deployment_hash for r in results],
+            "channel_hash": [r.channel_hash for r in results],
+        },
+        "rates.csv": {
+            "iteration": np.repeat(frames["iteration"], n_beams),
+            "frame": np.repeat(frames["frame"], n_beams),
+            "beam": np.tile(np.arange(n_beams), len(rates)),
+            "rate": rates.ravel(),
+        },
+        "frames.csv": frames,
+    }
+    if data[0].schedule is not None:
+        tables["schedule.csv"] = _stack(iterations, [d.schedule for d in data])
+        tables["sinr_trace.csv"] = _stack(iterations, [d.sinr_trace for d in data])
+    if data[0].user_map is not None:
+        tables["user_map.csv"] = data[0].user_map
 
-    rate_rows = []
-    frame_rows = []
-    for r in results:
-        data = r.per_policy[policy]
-        for fi in range(len(data.rates)):
-            frame_rows.append((r.iteration, fi + 1, int(data.sectors[fi]), int(data.loss_flags[fi])))
-            for b, rate in enumerate(data.rates[fi]):
-                rate_rows.append((r.iteration, fi + 1, b, rate))
-    path = os.path.join(cell, "rates.csv")
-    _write_csv(path, ["iteration", "frame", "beam", "rate"], rate_rows)
-    written.append(path)
-    path = os.path.join(cell, "frames.csv")
-    _write_csv(path, ["iteration", "frame", "sector", "loss"], frame_rows)
-    written.append(path)
-
-    if results and results[0].per_policy[policy].schedule_rows is not None:
-        sched = []
-        sinr = []
-        for r in results:
-            data = r.per_policy[policy]
-            it_col = np.full((len(data.schedule_rows), 1), r.iteration)
-            sched.append(np.hstack([it_col, data.schedule_rows]))
-            it_col = np.full((len(data.sinr_rows), 1), r.iteration)
-            sinr.append(np.hstack([it_col, data.sinr_rows]))
-        sched = np.vstack(sched)
-        path = os.path.join(cell, "schedule.csv")
-        _write_csv(
-            path,
-            ["iteration", "frame", "sector", "beam", "cluster", "borrowed"],
-            [(int(a), int(b), int(c), int(d), int(e), int(f)) for a, b, c, d, e, f in sched],
-        )
-        written.append(path)
-        sinr = np.vstack(sinr)
-        path = os.path.join(cell, "sinr_trace.csv")
-        _write_csv(
-            path,
-            ["iteration", "frame", "beam", "user", "precoded_db", "nonprecoded_db"],
-            [(int(a), int(b), int(c), int(d), e, f) for a, b, c, d, e, f in sinr],
-        )
-        written.append(path)
-
-    umap = report.user_maps.get(policy)
-    if umap is not None:
-        path = os.path.join(cell, "user_map.csv")
-        _write_csv(
-            path,
-            ["beam", "user", "lat", "lon", "mean_precoded_db", "mean_nonprecoded_db",
-             "frames_served"],
-            zip(umap.beam_ids, umap.user_ids, umap.lat, umap.lon,
-                umap.mean_precoded_db, umap.mean_nonprecoded_db, umap.frames_served),
-        )
+    written = []
+    for name, table in tables.items():
+        path = os.path.join(cell, name)
+        _write_table(path, table)
         written.append(path)
     return written
 
@@ -444,52 +433,50 @@ def write_channel_map(scenario: Scenario, density, out_dir):
     """Debug dump of per-user channel magnitudes for the iteration-0 deployment.
 
     Magnitudes do not depend on the random phases, which are left at zero, so
-    the map is policy-independent; one long-format row per (user, antenna).
+    the map depends only on the density; one long-format row per (user, antenna).
     """
     dep = deploy(scenario, density, 0)
-    n_beams = len(scenario.beams)
+    n_users, n_beams = len(dep.lat), len(scenario.beams)
     mag_db = 20.0 * np.log10(np.abs(_channel(scenario, dep, np.zeros(n_beams))))
-    path = os.path.join(out_dir, "channel_map.csv")
-    rows = (
-        (dep.beam_id[i], i, dep.lat[i], dep.lon[i], j, mag_db[i, j])
-        for i in range(len(mag_db)) for j in range(n_beams)
-    )
-    _write_csv(path, ["beam", "user", "lat", "lon", "antenna", "magnitude_db"], rows)
+    path = os.path.join(out_dir, f"channel_map_rho{density:g}.csv")
+    _write_table(path, {
+        "beam": np.repeat(dep.beam_id, n_beams),
+        "user": np.repeat(np.arange(n_users), n_beams),
+        "lat": np.repeat(dep.lat, n_beams),
+        "lon": np.repeat(dep.lon, n_beams),
+        "antenna": np.tile(np.arange(n_beams), n_users),
+        "magnitude_db": mag_db.ravel(),
+    })
     return path
 
 
 def write_summary(out_dir, reports):
     """Top-level summary and gain tables; returns the written paths."""
-    summary_rows = []
-    gain_rows = []
-    for report in reports:
-        for policy in sorted(report.policies):
-            agg = report.policies[policy]
-            summary_rows.append(
-                (report.cluster_size, report.density, policy, agg.eta_bar,
-                 agg.loss_frame_fraction, agg.n_frames, agg.n_iterations)
-            )
-        if report.gain is not None:
-            gain_rows.append((report.cluster_size, report.density, report.gain))
-    paths = []
-    path = os.path.join(out_dir, "summary.csv")
-    _write_csv(
-        path,
-        ["cluster_size", "density", "policy", "eta_bar", "loss_frame_fraction",
-         "n_frames", "n_iterations"],
-        summary_rows,
-    )
-    paths.append(path)
-    if gain_rows:
-        path = os.path.join(out_dir, "gains.csv")
-        _write_csv(path, ["cluster_size", "density", "gain"], gain_rows)
-        paths.append(path)
+    cells = [(report, policy, report.policies[policy])
+             for report in reports for policy in sorted(report.policies)]
+    gained = [report for report in reports if report.gain is not None]
+    paths = [os.path.join(out_dir, "summary.csv")]
+    _write_table(paths[0], {
+        "cluster_size": [report.cluster_size for report, _, _ in cells],
+        "density": [report.density for report, _, _ in cells],
+        "policy": [policy for _, policy, _ in cells],
+        "eta_bar": [agg.eta_bar for _, _, agg in cells],
+        "loss_frame_fraction": [agg.loss_frame_fraction for _, _, agg in cells],
+        "n_frames": [agg.n_frames for _, _, agg in cells],
+        "n_iterations": [agg.n_iterations for _, _, agg in cells],
+    })
+    if gained:
+        paths.append(os.path.join(out_dir, "gains.csv"))
+        _write_table(paths[1], {
+            "cluster_size": [report.cluster_size for report in gained],
+            "density": [report.density for report in gained],
+            "gain": [report.gain for report in gained],
+        })
     return paths
 
 
 def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=None,
-                   threads=1, iterations=None, write_traces=True, map_iterations=1,
-                   channel_map=False):
+                   threads=1, iterations=None, write_traces=True, channel_map=False):
     """Run the full sweep; optionally write per-cell artifacts and a manifest.
 
     Returns (dict mapping (cluster_size, density) -> MetricsReport, manifest).
@@ -507,11 +494,12 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
     reports = {}
     diagnostics = []
     artifacts = []
+    mapped = set()    # densities whose channel map is written
     for cluster_size, density in sweep:
         try:
             results, report = run_cell(
                 scenario, cluster_size, density, policies, iterations, threads,
-                collect_trace=write_traces, map_iterations=map_iterations,
+                collect_trace=write_traces,
             )
         except (ValidationError, GeometryError, np.linalg.LinAlgError) as exc:
             # record and continue with the other cells
@@ -523,9 +511,9 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
                 artifacts.extend(
                     _write_cell_outputs(out_dir, cluster_size, density, policy, results, report)
                 )
-            if channel_map:
-                cell_root = os.path.dirname(_cell_dir(out_dir, cluster_size, density, "x"))
-                artifacts.append(write_channel_map(scenario, density, cell_root))
+            if channel_map and density not in mapped:
+                mapped.add(density)
+                artifacts.append(write_channel_map(scenario, density, out_dir))
 
     manifest = RunManifest(
         tool_version=f"beamsim {__version__}",

@@ -34,19 +34,6 @@ def cluster_rates(member_sinrs_linear, sizes, modcod: ModCodTable) -> np.ndarray
 
 
 @dataclass
-class UserSinrMap:
-    """Average per-user SINR over the frames in which the user was scheduled."""
-
-    beam_ids: np.ndarray
-    user_ids: np.ndarray
-    lat: np.ndarray
-    lon: np.ndarray
-    mean_precoded_db: np.ndarray
-    mean_nonprecoded_db: np.ndarray
-    frames_served: np.ndarray
-
-
-@dataclass
 class PolicyAggregate:
     """Pooled and per-iteration metrics for one scheduling policy."""
 
@@ -66,7 +53,6 @@ class MetricsReport:
     cluster_size: int
     density: float
     policies: dict = field(default_factory=dict)     # policy -> PolicyAggregate
-    user_maps: dict = field(default_factory=dict)    # policy -> UserSinrMap
 
     @property
     def gain(self) -> float | None:
@@ -102,12 +88,9 @@ def aggregate_policy(per_iteration_rates, per_iteration_loss_flags) -> PolicyAgg
     )
 
 
-def aggregate(cluster_size, density, rates_by_policy, loss_by_policy,
-              user_maps=None) -> MetricsReport:
+def aggregate(cluster_size, density, rates_by_policy, loss_by_policy) -> MetricsReport:
     """Build the cell-level metrics report from per-policy iteration outputs."""
     report = MetricsReport(int(cluster_size), float(density))
     for policy, rates in rates_by_policy.items():
         report.policies[policy] = aggregate_policy(rates, loss_by_policy[policy])
-    if user_maps:
-        report.user_maps.update(user_maps)
     return report

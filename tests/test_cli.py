@@ -131,9 +131,12 @@ def test_cluster_dumps_partitions(capsys):
 
 def test_channel_map_matches_public_api(small_config, tmp_path):
     out = tmp_path / "out"
-    assert main(["run", "--config", small_config, "--beams", hex7(), "--cluster-size", "2",
+    assert main(["run", "--config", small_config, "--beams", hex7(), "--cluster-size", "2,4",
                  "--iterations", "1", "--no-traces", "--channel-map", "--out", str(out)]) == 0
-    lines = (out / "K2_rho0.00025" / "channel_map.csv").read_text().splitlines()
+    # the map depends only on the density: one per density, not one per cell
+    maps = [p.relative_to(out) for p in out.rglob("channel_map*")]
+    assert [str(p) for p in maps] == ["channel_map_rho0.00025.csv"]
+    lines = (out / maps[0]).read_text().splitlines()
     assert lines[0] == "beam,user,lat,lon,antenna,magnitude_db"
     rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
 

@@ -40,11 +40,12 @@ def test_run_cell_smoke(small_scenario):
     # the same deployment feeds both policies inside one iteration
     data = results[0].per_policy
     assert data["random"].rates.shape[1] == small_scenario.n_beams
-    assert data["gsa"].schedule_rows is not None
+    assert data["gsa"].schedule is not None
     # iteration-0 user map exists and only counts scheduled frames
-    umap = report.user_maps["gsa"]
-    assert (umap.frames_served > 0).all()   # GSA serves every cluster
-    assert np.isfinite(umap.mean_precoded_db[umap.frames_served > 0]).all()
+    umap = data["gsa"].user_map
+    assert (umap["frames_served"] > 0).all()   # GSA serves every cluster
+    assert np.isfinite(umap["mean_precoded_db"][umap["frames_served"] > 0]).all()
+    assert results[1].per_policy["gsa"].user_map is None
 
 
 def test_gsa_frames_match_sector_bound(small_scenario):
@@ -54,15 +55,54 @@ def test_gsa_frames_match_sector_bound(small_scenario):
     sectors = data.sectors
     # frames per sector equal the max member count across beams (engine-level
     # reconstruction of the scheduler's bound)
-    rows = data.schedule_rows
+    sched = data.schedule
     for q in np.unique(sectors):
         n_frames_q = int((sectors == q).sum())
-        in_q = rows[rows[:, 1] == q]
-        selected = {}
-        for frame, _, beam, cluster, borrowed in in_q:
-            selected.setdefault(int(beam), set()).add(int(cluster))
-        max_served = max(len(v) for v in selected.values())
+        in_q = sched["sector"] == q
+        max_served = max(
+            len(np.unique(sched["cluster"][in_q & (sched["beam"] == b)]))
+            for b in np.unique(sched["beam"][in_q])
+        )
         assert n_frames_q >= max_served
+
+
+def test_table_writer_formats_by_dtype(tmp_path):
+    path = tmp_path / "t.csv"
+    engine._write_table(path, {
+        "n": np.array([0, -7, 2**40, 3, 12, 5]),
+        "flag": np.array([True, False, True, False, True, False]),
+        "x": np.array([0.1, 1 / 3, -0.0, 1e-300, np.inf, np.nan]),
+        "hash": np.array(["9f86d081", "3e23e816", "2c624232", "19581e27", "4a44dc15", "ef2d127d"]),
+    })
+    assert path.read_text() == (
+        "n,flag,x,hash\n"
+        "0,1,0.1,9f86d081\n"
+        "-7,0,0.3333333333,3e23e816\n"
+        "1099511627776,1,-0,2c624232\n"
+        "3,0,1e-300,19581e27\n"
+        "12,1,inf,4a44dc15\n"
+        "5,0,nan,ef2d127d\n"
+    )
+    with pytest.raises(ValueError, match="differ in length"):
+        engine._write_table(path, {"a": [1, 2], "b": [1.0]})
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 5])
+def test_table_writer_chunks_join_seamlessly(tmp_path, monkeypatch, chunk):
+    rng = np.random.default_rng(0)
+    table = {
+        "user": np.arange(10),
+        "served": rng.integers(0, 2, 10).astype(bool),
+        "sinr_db": rng.normal(size=10),
+        "hash": np.array([f"{v:08x}" for v in rng.integers(0, 2**32, 10)]),
+    }
+    whole = tmp_path / "whole.csv"
+    engine._write_table(whole, table)
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", chunk)
+    chunked = tmp_path / "chunked.csv"
+    engine._write_table(chunked, table)
+    assert chunked.read_text() == whole.read_text()
+    assert len(whole.read_text().splitlines()) == 11
 
 
 def test_experiment_reruns_byte_identical(small_scenario, tmp_path):
