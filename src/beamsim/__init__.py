@@ -15,13 +15,7 @@ from .channel import (
 from .clustering import ClusterPartition, channel_features, max_dist_partition
 from .engine import RunManifest, run_cell, run_experiment, run_iteration
 from .errors import GeometryError, ValidationError
-from .geometry import (
-    NormalizedPolar,
-    SectorGrid,
-    Sectorisation,
-    sectorise,
-    to_normalized_polar,
-)
+from .geometry import SectorGrid, Sectorisation, sectorise
 from .link_adaptation import MetricsReport, aggregate, cluster_rates
 from .precoding import mmse_precoder, normalize_power
 from .scenario import (
@@ -59,7 +53,6 @@ __all__ = [
     "mmse_precoder",
     "ModCodTable",
     "normalize_power",
-    "NormalizedPolar",
     "aggregate",
     "random_schedule",
     "run_cell",
@@ -72,7 +65,6 @@ __all__ = [
     "SectorGrid",
     "Sectorisation",
     "sectorise",
-    "to_normalized_polar",
     "UserTerminal",
     "ValidationError",
 ]

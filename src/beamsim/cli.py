@@ -120,12 +120,18 @@ def cmd_sectorize(args) -> int:
     scenario = _load_scenario(args)
     grid = scenario.config.sector_grid()
     dep = engine.deploy(scenario, scenario.config.user_density, 0)
+    phi = np.empty(len(dep.lat))
+    radius = np.empty(len(dep.lat))
+    for bi, beam in enumerate(scenario.beams):
+        sel = dep.beam_idx == bi
+        x, y = geometry.project_tangent(beam.center_lat, beam.center_lon,
+                                        dep.lat[sel], dep.lon[sel])
+        phi[sel], radius[sel] = geometry.normalized_polar_from_xy(beam.boundary_xy, x, y)
+    sector = grid.assign(phi, radius)
     print("beam,user,lat,lon,phi,r_norm,sector")
-    for user, (lat, lon, b) in enumerate(zip(dep.lat, dep.lon, dep.beam_idx)):
-        beam = scenario.beams[b]
-        p = geometry.to_normalized_polar(beam, lat, lon)
-        print(f"{beam.beam_id},{user},{lat:.6f},{lon:.6f},{p.phi:.6f},{p.radius:.6f},"
-              f"{grid.assign(p)}")
+    rows = zip(dep.beam_id, dep.lat, dep.lon, phi, radius, sector)
+    for user, (beam_id, lat, lon, p, r, q) in enumerate(rows):
+        print(f"{beam_id},{user},{lat:.6f},{lon:.6f},{p:.6f},{r:.6f},{q}")
     return 0
 
 

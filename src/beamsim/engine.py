@@ -140,11 +140,9 @@ def build_iteration(scenario: Scenario, cluster_size: int, density: float,
         partitions.append(part)
         member_lists.append([sel[c] for c in part.clusters])
         eqvecs.append(np.vstack([h[sel[c]].mean(axis=0) for c in part.clusters]))
-        polars = [
-            geometry.normalized_polar_from_xy(beam.boundary_xy, px, py, clamp=True)
-            for px, py in clustering.cluster_barycentres(xy, part)
-        ]
-        sectorisations.append(geometry.sectorise(grid, beam.beam_id, polars))
+        bary = clustering.cluster_barycentres(xy, part)
+        phi, radius = geometry.normalized_polar_from_xy(beam.boundary_xy, *bary.T, clamp=True)
+        sectorisations.append(geometry.sectorise(grid, beam.beam_id, grid.assign(phi, radius)))
 
     return IterationState(
         deployment=dep,

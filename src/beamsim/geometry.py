@@ -17,15 +17,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import EARTH_RADIUS_KM, GEO_ALTITUDE_KM
 from .errors import GeometryError, ValidationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .scenario import Beam
 
 TAU = 2.0 * math.pi
 
@@ -152,35 +148,43 @@ def polygon_is_simple(boundary_xy):
 
 
 def ray_boundary_distance(boundary_xy, phi):
-    """Distance from the origin to the polygon boundary along azimuth phi.
+    """Distance from the origin to the polygon boundary along each azimuth in phi.
 
-    The boundary is traversed as straight segments; if the ray crosses the
-    boundary more than once (non-star-shaped polygon) the nearest crossing
-    is returned and a diagnostic warning is emitted.
+    Every ray is intersected with every boundary segment in one broadcast.
+    Where a ray crosses the boundary more than once (non-star-shaped polygon)
+    the nearest crossing is returned, and one warning per call counts such
+    rays.
     """
     v = np.asarray(boundary_xy, dtype=float)
-    p = v
-    q = np.roll(v, -1, axis=0)
-    e = q - p
-    ux, uy = math.cos(phi), math.sin(phi)
-    denom = ux * e[:, 1] - uy * e[:, 0]          # cross(u, edge)
+    e = np.roll(v, -1, axis=0) - v
+    phi = np.asarray(phi, dtype=float)
+    ux = np.cos(phi)[..., None]
+    uy = np.sin(phi)[..., None]
+    denom = ux * e[:, 1] - uy * e[:, 0]          # cross(u, edge), shape (..., n_edges)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (p[:, 0] * e[:, 1] - p[:, 1] * e[:, 0]) / denom   # cross(p, edge)/cross(u, edge)
-        s = (p[:, 0] * uy - p[:, 1] * ux) / denom             # cross(p, u)/cross(u, edge)
+        t = (v[:, 0] * e[:, 1] - v[:, 1] * e[:, 0]) / denom   # cross(p, edge)/cross(u, edge)
+        s = (v[:, 0] * uy - v[:, 1] * ux) / denom             # cross(p, u)/cross(u, edge)
     eps = 1e-12
     ok = (np.abs(denom) > eps) & (s >= -1e-9) & (s <= 1.0 + 1e-9) & (t > eps)
-    hits = t[ok]
-    if hits.size == 0:
-        raise GeometryError(f"ray at phi={phi:.6f} rad does not meet the beam boundary")
-    hits = np.sort(hits)
-    distinct = hits[np.concatenate(([True], np.diff(hits) > 1e-9 * hits[-1]))]
-    if distinct.size > 1:
+    hits = np.sort(np.where(ok, t, np.nan), axis=-1)   # misses sort last
+    nearest = hits[..., 0]
+    missed = np.isnan(nearest)
+    if missed.any():
+        raise GeometryError(
+            f"ray at phi={phi[missed][0]:.6f} rad does not meet the beam boundary"
+        )
+    # crossings closer than 1e-9 of the farthest one (a ray through a vertex
+    # meets both of its edges) count as one
+    farthest = np.nanmax(hits, axis=-1, keepdims=True)
+    distinct = np.diff(hits, axis=-1) > 1e-9 * farthest
+    n_multi = np.count_nonzero(distinct.any(axis=-1))
+    if n_multi:
         warnings.warn(
-            f"beam boundary is not star-shaped at phi={phi:.4f} rad "
-            f"({distinct.size} crossings); using the nearest",
+            f"beam boundary is not star-shaped: {n_multi} of {nearest.size} rays cross "
+            f"it more than once; using the nearest crossing",
             stacklevel=2,
         )
-    return float(distinct[0])
+    return nearest
 
 
 def edge_midpoints_xy(boundary_xy):
@@ -192,39 +196,27 @@ def edge_midpoints_xy(boundary_xy):
 # Normalized polar coordinates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalizedPolar:
-    """Angle (rad, CCW from local east, [0, 2pi)) and normalized radius in [0, 1]."""
-
-    phi: float
-    radius: float
-
-
 def normalized_polar_from_xy(boundary_xy, x, y, clamp=False):
-    """Normalized polar coordinates of a tangent-plane point.
+    """Normalized polar coordinates (phi, radius) of tangent-plane points.
 
-    ``clamp`` maps points marginally outside the boundary back onto it
-    (used for cluster barycentres of concave beams); without it, points
+    phi is in [0, 2pi) and radius in [0, 1]; a point at the center gets
+    (0, 0).  ``clamp`` maps points marginally outside the boundary back onto
+    it (used for cluster barycentres of concave beams); without it, points
     beyond the boundary raise ValidationError.
     """
-    r = math.hypot(x, y)
-    if r == 0.0:
-        return NormalizedPolar(0.0, 0.0)
-    phi = math.atan2(y, x) % TAU
-    r_edge = ray_boundary_distance(boundary_xy, phi)
-    rnorm = r / r_edge
-    if rnorm > 1.0 + 1e-9 and not clamp:
+    r = np.hypot(x, y)
+    off_center = r > 0.0
+    phi = np.where(off_center, np.arctan2(y, x) % TAU, 0.0)
+    r_edge = np.ones_like(r)
+    r_edge[off_center] = ray_boundary_distance(boundary_xy, phi[off_center])
+    radius = r / r_edge
+    if not clamp and np.any(radius > 1.0 + 1e-9):
+        i = np.argmax(radius)
         raise ValidationError(
-            f"point at phi={phi:.4f}, r={r:.3f} km lies outside the beam boundary "
-            f"(edge at {r_edge:.3f} km)"
+            f"point at phi={phi.flat[i]:.4f}, r={r.flat[i]:.3f} km lies outside the beam "
+            f"boundary (edge at {r_edge.flat[i]:.3f} km)"
         )
-    return NormalizedPolar(phi, min(rnorm, 1.0))
-
-
-def to_normalized_polar(beam: "Beam", lat: float, lon: float) -> NormalizedPolar:
-    """Normalized polar coordinates of a geodetic point within a beam."""
-    x, y = project_tangent(beam.center_lat, beam.center_lon, lat, lon)
-    return normalized_polar_from_xy(beam.boundary_xy, float(x), float(y))
+    return phi, np.minimum(radius, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +264,15 @@ class SectorGrid:
     def n_sectors(self) -> int:
         return self.n_rings * self.n_wedges + 1
 
-    def assign(self, p: NormalizedPolar) -> int:
-        """Sector index of a normalized-polar point (0 = beam center)."""
-        if p.radius <= self.r_bc:
-            return BEAM_CENTER_SECTOR
-        ring = int(np.searchsorted(self.radii, p.radius, side="left"))
-        phi = p.phi % TAU
-        if phi == 0.0:
-            phi = TAU  # upper-closed wedge intervals make the cover total
-        wedge = int(np.searchsorted(self.angles, phi, side="left")) + 1
-        return (ring - 1) * self.n_wedges + wedge
+    def assign(self, phi, radius):
+        """Sector index of each normalized-polar point (0 = beam center)."""
+        radius = np.asarray(radius, dtype=float)
+        phi = np.asarray(phi, dtype=float) % TAU
+        phi = np.where(phi == 0.0, TAU, phi)  # upper-closed wedge intervals make the cover total
+        ring = np.searchsorted(self.radii, radius, side="left")
+        wedge = np.searchsorted(self.angles, phi, side="left") + 1
+        return np.where(radius <= self.r_bc, BEAM_CENTER_SECTOR,
+                        (ring - 1) * self.n_wedges + wedge)
 
     def ring_wedge(self, sector: int):
         """(ring, wedge) of a non-center sector, both 1-based."""
@@ -323,9 +314,8 @@ class Sectorisation:
     members: list
 
 
-def sectorise(grid: SectorGrid, beam_id: int, polars) -> Sectorisation:
-    """Group items (e.g. cluster barycentres) into sector member lists."""
-    members = [[] for _ in range(grid.n_sectors)]
-    for idx, p in enumerate(polars):
-        members[grid.assign(p)].append(idx)
-    return Sectorisation(beam_id, grid, [np.asarray(m, dtype=int) for m in members])
+def sectorise(grid: SectorGrid, beam_id: int, sectors) -> Sectorisation:
+    """Group items (e.g. cluster barycentres) by their sector labels."""
+    sectors = np.asarray(sectors)
+    return Sectorisation(beam_id, grid,
+                         [np.flatnonzero(sectors == q) for q in range(grid.n_sectors)])

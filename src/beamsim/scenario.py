@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -437,9 +437,6 @@ class Scenario:
 
     def satellite(self) -> np.ndarray:
         return geometry.satellite_ecef_km(self.config.satellite_longitude)
-
-    def with_config(self, **changes) -> "Scenario":
-        return Scenario(validate_config(replace(self.config, **changes)), self.beams, self.modcod)
 
 
 def check_density_supports_clusters(scenario: Scenario, cluster_size=None, density=None):

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from beamsim import geometry, load_scenario
 from beamsim.cli import data_path
-from beamsim.scenario import make_beam
+from beamsim.scenario import Scenario, make_beam, validate_config
 
 
 def beam_from_xy(xy_vertices, center_lat=45.0, center_lon=8.0, beam_id=1, **kw):
@@ -45,7 +46,8 @@ def bundled_scenario(layout="beams_hex7.json", **config_overrides):
         str(data_path("modcod_dvbs2x.csv")),
     )
     if config_overrides:
-        scenario = scenario.with_config(**config_overrides)
+        cfg = validate_config(replace(scenario.config, **config_overrides))
+        scenario = Scenario(cfg, scenario.beams, scenario.modcod)
     return scenario
 
 

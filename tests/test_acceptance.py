@@ -113,11 +113,12 @@ def test_c3_geometry_suite():
     grid = scenario.config.sector_grid()
     rng = np.random.default_rng(103)
     for beam in scenario.beams:
-        p = geometry.to_normalized_polar(beam, beam.center_lat, beam.center_lon)
-        assert p.radius == 0.0
-        for lat, lon in beam.boundary:
-            p = geometry.to_normalized_polar(beam, lat, lon)
-            assert p.radius >= 1.0 - 1e-9
+        x, y = geometry.project_tangent(beam.center_lat, beam.center_lon,
+                                        [beam.center_lat, *beam.boundary[:, 0]],
+                                        [beam.center_lon, *beam.boundary[:, 1]])
+        _, radius = geometry.normalized_polar_from_xy(beam.boundary_xy, x, y)
+        assert radius[0] == 0.0
+        assert (radius[1:] >= 1.0 - 1e-9).all()
         # partition totality over 10^4 uniform in-beam points
         lo = beam.boundary_xy.min(axis=0)
         hi = beam.boundary_xy.max(axis=0)
@@ -126,10 +127,10 @@ def test_c3_geometry_suite():
         while accepted < 10_000:
             cand = rng.uniform(lo, hi, size=(2 * (10_000 - accepted), 2))
             ok = geometry.point_in_polygon(beam.boundary_xy, cand[:, 0], cand[:, 1])
-            for x, y in cand[ok][: 10_000 - accepted]:
-                q = grid.assign(geometry.normalized_polar_from_xy(beam.boundary_xy, x, y))
-                counts[q] += 1
-                accepted += 1
+            x, y = cand[ok][: 10_000 - accepted].T
+            q = grid.assign(*geometry.normalized_polar_from_xy(beam.boundary_xy, x, y))
+            counts += np.bincount(q, minlength=grid.n_sectors)
+            accepted += len(q)
         assert counts.sum() == 10_000
     for radii, angles in [
         ((0.2, 1.0), (2 * math.pi,)),

@@ -86,7 +86,7 @@ def test_sectorize_geometry_error_exit_one(small_config, monkeypatch, capsys):
     from beamsim.errors import GeometryError
 
     def missing_ray(boundary_xy, phi):
-        raise GeometryError(f"ray at phi={phi:.6f} rad does not meet the beam boundary")
+        raise GeometryError(f"ray at phi={phi[0]:.6f} rad does not meet the beam boundary")
 
     monkeypatch.setattr(geometry, "ray_boundary_distance", missing_ray)
     assert main(["sectorize", "--config", small_config, "--beams", hex7()]) == 1

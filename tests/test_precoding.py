@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beamsim.engine import build_iteration
 from beamsim.errors import ValidationError
 from beamsim.precoding import (
     mmse_precoder,
@@ -231,6 +232,21 @@ def test_zero_regularization_limit_is_zero_forcing():
             continue
         w = mmse_precoder(h, 1e-8)
         assert np.linalg.norm(h @ w - np.eye(4)) < 1e-4
+
+
+def test_paper_rule_on_physical_channel_equals_normalized_mode(scenario19):
+    # The engine's channel is divided by sqrt(P_Z) (unit noise).  The paper's
+    # alpha = P_Z / P_TX on the physical channel H sqrt(P_Z) must give, after
+    # sum-power normalization, the precoder of alpha = 1 / P_TX on H.
+    cfg = scenario19.config
+    state = build_iteration(scenario19, cfg.cluster_size, cfg.user_density, 0)
+    p_z = cfg.noise_power_w
+    p_tx = cfg.tx_power(scenario19.n_beams)
+    for frame in range(4):
+        h = np.vstack([eq[frame] for eq in state.eqvecs])
+        w_phys = normalize_power(mmse_precoder(h * np.sqrt(p_z), p_z / p_tx), "sum-power", p_tx)
+        w_norm = normalize_power(mmse_precoder(h, 1.0 / p_tx), "sum-power", p_tx)
+        assert np.linalg.norm(w_phys - w_norm) <= 1e-10 * np.linalg.norm(w_norm)
 
 
 def test_precoded_sinr_shapes():
