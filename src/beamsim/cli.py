@@ -140,11 +140,12 @@ def cmd_cluster(args) -> int:
     cfg = scenario.config
     state = engine.build_iteration(scenario, cfg.cluster_size, cfg.user_density, 0)
     dep = state.deployment
+    rows, slots = np.nonzero(state.clusters >= 0)
+    users = state.clusters[rows, slots]
+    cluster = rows - state.first_cluster[dep.beam_idx[users]]
     print("beam,cluster,user,lat,lon")
-    for beam, clusters in zip(scenario.beams, state.member_lists):
-        for ci, members in enumerate(clusters):
-            for m in members:
-                print(f"{beam.beam_id},{ci},{m},{dep.lat[m]:.6f},{dep.lon[m]:.6f}")
+    for beam_id, ci, m in zip(dep.beam_id[users], cluster, users):
+        print(f"{beam_id},{ci},{m},{dep.lat[m]:.6f},{dep.lon[m]:.6f}")
     return 0
 
 

@@ -117,7 +117,15 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> Cluster
     return ClusterPartition(beam_id, clusters, n).validate()
 
 
-def cluster_barycentres(xy, partition: ClusterPartition) -> np.ndarray:
-    """Position centroid of every cluster; (N_K, 2) in tangent-plane km."""
-    pts = np.asarray(xy, dtype=float)
-    return np.vstack([pts[c].mean(axis=0) for c in partition.clusters])
+def cluster_means(values, rows) -> np.ndarray:
+    """Mean of `values` over each cluster: a row of `rows`, padded with -1.
+
+    Members are added slot by slot in row order, then divided by the size:
+    the operations of `values[members].mean(axis=0)`, to the last bit.
+    """
+    sizes = np.count_nonzero(rows >= 0, axis=1)
+    total = values[rows[:, 0]]
+    for slot in range(1, rows.shape[1]):
+        has = sizes > slot
+        total[has] += values[rows[has, slot]]
+    return total / sizes[:, None]

@@ -2,9 +2,11 @@
 
 One iteration = deploy users, synthesize channels, cluster, sectorise, then
 run each requested scheduler over the same deployment so policy comparisons
-are paired.  Every RNG stream derives from (master_seed, iteration, purpose),
-so iterations are independent of execution order and the run is reproducible
-at any worker count.
+are paired.  The clusters are rows of one padded table (beam b's cluster c at
+`first_cluster[b] + c`), and frame f of a schedule serves the rows
+`first_cluster + selection[f]`.  Every RNG stream derives from (master_seed,
+iteration, purpose), so iterations are independent of execution order and the
+run is reproducible at any worker count.
 """
 
 from __future__ import annotations
@@ -57,9 +59,11 @@ class IterationState:
     h: np.ndarray             # (n_users, N_B) channel matrix with the iteration's phases
     deployment_hash: str
     channel_hash: str
+    clusters: np.ndarray      # (C, K) global user ids per cluster, -1 past its size
+    cluster_sizes: np.ndarray # (C,) members per cluster
+    first_cluster: np.ndarray # (N_B,) beam b's cluster c is row first_cluster[b] + c
+    eqvec: np.ndarray         # (C, N_B) equivalent channel vector: the members' mean
     partitions: list          # partitions[b]: ClusterPartition of beam b's users
-    member_lists: list        # member_lists[b][c]: global user indices of cluster c
-    eqvecs: list              # eqvecs[b]: (N_K_b, N_B) equivalent channel vectors
     sectorisations: list      # sectorisations[b]: Sectorisation of beam b's clusters
 
 
@@ -124,8 +128,14 @@ def build_iteration(scenario: Scenario, cluster_size: int, density: float,
     )
     h = _channel(scenario, dep, phases)
 
-    # per-beam clustering in the configured similarity space
-    partitions, member_lists, eqvecs, sectorisations = [], [], [], []
+    # per-beam clustering in the configured similarity space; MaxDist fills
+    # every cluster of a beam but its last, the only row of the table padded
+    n_beams = len(scenario.beams)
+    n_clusters = -(-np.bincount(dep.beam_idx, minlength=n_beams) // cluster_size)
+    first_cluster = np.cumsum(n_clusters) - n_clusters
+    clusters = np.full((n_clusters.sum(), cluster_size), -1)
+    eqvec = np.empty((len(clusters), n_beams), dtype=h.dtype)
+    partitions, sectorisations = [], []
     grid = cfg.sector_grid()
     for bi, beam in enumerate(scenario.beams):
         sel = np.flatnonzero(dep.beam_idx == bi)
@@ -138,9 +148,12 @@ def build_iteration(scenario: Scenario, cluster_size: int, density: float,
             feats = clustering.channel_features(h[sel])
         part = clustering.max_dist_partition(feats, cluster_size, beam.beam_id)
         partitions.append(part)
-        member_lists.append([sel[c] for c in part.clusters])
-        eqvecs.append(np.vstack([h[sel[c]].mean(axis=0) for c in part.clusters]))
-        bary = clustering.cluster_barycentres(xy, part)
+        local = np.full((part.n_clusters, cluster_size), -1)
+        local.flat[:len(sel)] = np.concatenate(part.clusters)
+        rows = slice(first_cluster[bi], first_cluster[bi] + part.n_clusters)
+        clusters[rows] = np.where(local >= 0, sel[local], -1)
+        eqvec[rows] = clustering.cluster_means(h[sel], local)
+        bary = clustering.cluster_means(xy, local)
         phi, radius = geometry.normalized_polar_from_xy(beam.boundary_xy, *bary.T, clamp=True)
         sectorisations.append(geometry.sectorise(grid, beam.beam_id, grid.assign(phi, radius)))
 
@@ -151,9 +164,11 @@ def build_iteration(scenario: Scenario, cluster_size: int, density: float,
             np.ascontiguousarray(np.column_stack([dep.lat, dep.lon, dep.slant])).tobytes()
         ).hexdigest(),
         channel_hash=hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest(),
+        clusters=clusters,
+        cluster_sizes=np.count_nonzero(clusters >= 0, axis=1),
+        first_cluster=first_cluster,
+        eqvec=eqvec,
         partitions=partitions,
-        member_lists=member_lists,
-        eqvecs=eqvecs,
         sectorisations=sectorisations,
     )
 
@@ -194,54 +209,45 @@ def _evaluate_schedule(scenario, seq, state, nonprec_all, alpha, p_tx, collect_t
                        collect_map):
     cfg = scenario.config
     n_beams = len(scenario.beams)
-    h_all, eqvecs, member_lists = state.h, state.eqvecs, state.member_lists
+    h_all, beam_idx = state.h, state.deployment.beam_idx
 
     n_frames = seq.n_frames
     rates = np.zeros((n_frames, n_beams))
     loss_flags = np.zeros(n_frames, dtype=bool)
-    sectors = np.array([f.sector for f in seq.frames], dtype=int)
     keep_sinrs = collect_trace or collect_map
     frame_members, frame_prec = [], []
 
-    beam_range = np.arange(n_beams)
-    for fi, frame in enumerate(seq.frames):
-        sel = frame.selection
-        h_frame = np.vstack([eqvecs[b][sel[b]] for b in beam_range])
+    for fi, rows in enumerate(state.first_cluster + seq.selection):
         w = precoding.normalize_power(
-            precoding.mmse_precoder(h_frame, alpha), cfg.normalization_mode, p_tx
+            precoding.mmse_precoder(state.eqvec[rows], alpha), cfg.normalization_mode, p_tx
         )
-        members_by_beam = [member_lists[b][sel[b]] for b in beam_range]
-        sizes = np.array([len(m) for m in members_by_beam])
-        members = np.concatenate(members_by_beam)
-        serving = np.repeat(beam_range, sizes)
-        prec = precoding.precoded_sinr(h_all[members], serving, w, p_tx)
+        table = state.clusters[rows]
+        members = table[table >= 0]
+        prec = precoding.precoded_sinr(h_all[members], beam_idx[members], w, p_tx)
 
-        rates[fi] = cluster_rates(prec, sizes, scenario.modcod)
+        rates[fi] = cluster_rates(prec, state.cluster_sizes[rows], scenario.modcod)
         loss_flags[fi] = bool(np.any(prec < nonprec_all[members]))
         if keep_sinrs:
             frame_members.append(members)
             frame_prec.append(prec)
 
-    data = PolicyIterationData(rates, loss_flags, sectors)
+    data = PolicyIterationData(rates, loss_flags, seq.sector)
     if not keep_sinrs:
         return data
     members = np.concatenate(frame_members)
     prec = np.concatenate(frame_prec)
     if collect_trace:
-        frame_no = np.array([f.frame for f in seq.frames])
-        no_borrowing = np.zeros(n_beams, dtype=bool)
+        frame_no = np.arange(1, n_frames + 1)
         data.schedule = {
             "frame": np.repeat(frame_no, n_beams),
-            "sector": np.repeat(sectors, n_beams),
-            "beam": np.tile(beam_range, n_frames),
-            "cluster": seq.selections().ravel(),
-            "borrowed": np.concatenate([
-                no_borrowing if f.borrowed is None else f.borrowed for f in seq.frames
-            ]),
+            "sector": np.repeat(seq.sector, n_beams),
+            "beam": np.tile(np.arange(n_beams), n_frames),
+            "cluster": seq.selection.ravel(),
+            "borrowed": seq.borrowed.ravel(),
         }
         data.sinr_trace = {
             "frame": np.repeat(frame_no, [len(m) for m in frame_members]),
-            "beam": state.deployment.beam_idx[members],
+            "beam": beam_idx[members],
             "user": members,
             "precoded_db": _db(prec),
             "nonprecoded_db": _db(nonprec_all[members]),

@@ -22,12 +22,14 @@ def cluster_rates(member_sinrs_linear, sizes, modcod: ModCodTable) -> np.ndarray
 
     `member_sinrs_linear` holds the members' SINRs cluster after cluster and
     `sizes` the member count of each cluster; a cluster gets the efficiency
-    of its worst member.
+    of its worst member.  A NaN SINR raises instead of selecting a row.
     """
     g = np.asarray(member_sinrs_linear, dtype=float)
     sizes = np.asarray(sizes, dtype=int)
     if sizes.size == 0 or np.any(sizes < 1) or sizes.sum() != g.size:
         raise ValidationError("cluster rates need at least one member SINR per cluster")
+    if np.isnan(g).any():
+        raise ValidationError("cluster rates need SINRs that are not NaN")
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     worst = np.minimum.reduceat(g, offsets)
     return modcod.efficiency(10.0 * np.log10(np.maximum(worst, 1e-300)))

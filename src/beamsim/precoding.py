@@ -34,21 +34,21 @@ def normalize_power(precoder, mode: str, p_tx: float) -> np.ndarray:
 
     sum-power scales W so the radiated total equals N_B * P_TX; per-antenna
     scales W uniformly until the hottest antenna (row) radiates exactly P_TX;
-    none returns W unchanged.
+    none returns W unchanged.  A zero, infinite or NaN power raises.
     """
     w = np.asarray(precoder, dtype=complex)
     if mode == "none":
         return w
     if mode == "sum-power":
         fro2 = float(np.sum(np.abs(w) ** 2))
-        if fro2 == 0.0:
-            raise ValidationError("cannot power-normalize a zero precoding matrix")
+        if not 0.0 < fro2 < np.inf:
+            raise ValidationError(f"cannot power-normalize a precoding matrix of power {fro2}")
         return w * np.sqrt(w.shape[0] / fro2)
     if mode == "per-antenna":
         row_norm2 = np.sum(np.abs(w) ** 2, axis=1)
         peak = float(np.max(row_norm2))
-        if peak == 0.0:
-            raise ValidationError("cannot power-normalize a zero precoding matrix")
+        if not 0.0 < peak < np.inf:
+            raise ValidationError(f"cannot power-normalize a precoding matrix of power {peak}")
         return w / np.sqrt(peak)
     raise ValidationError(f"unknown normalization mode {mode!r}")
 

@@ -10,7 +10,7 @@ only the clusters whose barycentre lies in that sector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,25 +21,16 @@ NO_SECTOR = -1  # sector label used by the random scheduler
 
 
 @dataclass
-class ScheduleFrame:
-    frame: int                      # 1-based frame index within the sequence
-    sector: int                     # NO_SECTOR for random frames
-    selection: np.ndarray           # (N_B,) cluster index chosen per beam
-    borrowed: np.ndarray | None = None  # beams that had to borrow from another sector
-
-
-@dataclass
 class ScheduleSequence:
-    policy: str
-    frames: list = field(default_factory=list)
+    """A frame schedule as arrays: frame f serves cluster `selection[f, b]` of beam b."""
+
+    selection: np.ndarray     # (n_frames, N_B) cluster index per beam
+    sector: np.ndarray        # (n_frames,) sector served; NO_SECTOR for random frames
+    borrowed: np.ndarray      # (n_frames, N_B) bool: the beam drew from another sector
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
-
-    def selections(self) -> np.ndarray:
-        """(n_frames, N_B) matrix of scheduled cluster indices."""
-        return np.vstack([f.selection for f in self.frames])
+        return len(self.sector)
 
 
 def random_schedule(partitions, n_frame=None, seed=0) -> ScheduleSequence:
@@ -59,9 +50,8 @@ def random_schedule(partitions, n_frame=None, seed=0) -> ScheduleSequence:
         )
     rng = np.random.default_rng(seed)
     pools = [list(range(k)) for k in n_k]
-    seq = ScheduleSequence("random")
-    for n in range(1, n_frame + 1):
-        sel = np.empty(len(partitions), dtype=int)
+    selection = np.empty((n_frame, len(partitions)), dtype=int)
+    for n, sel in enumerate(selection, start=1):
         for b, pool in enumerate(pools):
             j = int(rng.integers(len(pool)))
             sel[b] = pool[j]
@@ -70,8 +60,8 @@ def random_schedule(partitions, n_frame=None, seed=0) -> ScheduleSequence:
                 pool.pop()
             else:
                 pools[b] = list(range(n_k[b]))
-        seq.frames.append(ScheduleFrame(n, NO_SECTOR, sel))
-    return seq
+    return ScheduleSequence(selection, np.full(n_frame, NO_SECTOR),
+                            np.zeros(selection.shape, dtype=bool))
 
 
 def gsa_schedule(partitions, sectorisations: list[Sectorisation], seed=0) -> ScheduleSequence:
@@ -95,41 +85,33 @@ def gsa_schedule(partitions, sectorisations: list[Sectorisation], seed=0) -> Sch
                 f"expected {p.n_clusters}"
             )
     rng = np.random.default_rng(seed)
-    seq = ScheduleSequence("gsa")
-    frame_no = 0
     order = [BEAM_CENTER_SECTOR] + [q for q in range(grid.n_sectors) if q != BEAM_CENTER_SECTOR]
-    for q in order:
-        n_q = max(len(s.members[q]) for s in sectorisations)
-        if n_q == 0:
+    n_q = [max(len(s.members[q]) for s in sectorisations) for q in order]
+    sector = np.repeat(order, n_q)
+    selection = np.empty((len(sector), len(partitions)), dtype=int)
+    borrowed = np.empty(selection.shape, dtype=bool)
+    bounds = np.cumsum(n_q)[:-1]
+    for q, sel_q, borrowed_q in zip(order, np.split(selection, bounds), np.split(borrowed, bounds)):
+        if not len(sel_q):
             continue
-        initial = []
-        borrowed_beam = []
+        initial, lent = [], []
         for s in sectorisations:
-            own = s.members[q]
-            if len(own):
-                initial.append(list(own))
-                borrowed_beam.append(False)
-            else:
-                donor = next(
-                    q2 for q2 in grid.neighbor_order(q) if len(s.members[q2])
-                )
-                initial.append(list(s.members[donor]))
-                borrowed_beam.append(True)
+            donor = q if len(s.members[q]) else next(
+                q2 for q2 in grid.neighbor_order(q) if len(s.members[q2])
+            )
+            initial.append(list(s.members[donor]))
+            lent.append(donor != q)
+        borrowed_q[:] = lent
         pools = [list(p) for p in initial]
-        for _ in range(n_q):
-            frame_no += 1
-            sel = np.empty(len(partitions), dtype=int)
+        for sel in sel_q:
             for b, pool in enumerate(pools):
                 j = int(rng.integers(len(pool)))
                 sel[b] = pool[j]
-                if borrowed_beam[b]:
+                if lent[b]:
                     continue  # borrowed pools are sampled with replacement
                 if len(pool) > 1:
                     pool[j] = pool[-1]
                     pool.pop()
                 else:
                     pools[b] = list(initial[b])
-            seq.frames.append(
-                ScheduleFrame(frame_no, q, sel, np.asarray(borrowed_beam, dtype=bool))
-            )
-    return seq
+    return ScheduleSequence(selection, sector, borrowed)

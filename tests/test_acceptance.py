@@ -159,12 +159,12 @@ def test_c4_scheduler_suite():
         seq = random_schedule(parts, seed=int(rng.integers(1 << 30)))
         assert seq.n_frames == int(counts.max())
         b_max = int(np.argmax(counts))
-        assert sorted(seq.selections()[:, b_max].tolist()) == list(range(int(counts.max())))
+        assert sorted(seq.selection[:, b_max].tolist()) == list(range(int(counts.max())))
 
     # hand-traced 2-beam random example: N_K = (2, 4), N_frame = 4
     parts = [partition_with(2), partition_with(4)]
     for seed in range(10):
-        sel = random_schedule(parts, n_frame=4, seed=seed).selections()
+        sel = random_schedule(parts, n_frame=4, seed=seed).selection
         assert sorted(sel[:2, 0].tolist()) == [0, 1]
         assert sorted(sel[:, 1].tolist()) == [0, 1, 2, 3]
 
@@ -176,10 +176,10 @@ def test_c4_scheduler_suite():
     sect_b, n_b = sectorisation_from_counts(grid, 1, counts_b)
     seq = gsa_schedule([partition_with(n_a), partition_with(n_b, 1)],
                        [sect_a, sect_b], seed=4)
-    frames_q1 = [f for f in seq.frames if f.sector == 1]
-    assert len(frames_q1) == 3
-    assert sorted(f.selection[0] for f in frames_q1) == sect_a.members[1].tolist()
-    assert all(f.selection[1] == sect_b.members[1][0] for f in frames_q1)
+    sel_q1 = seq.selection[seq.sector == 1]
+    assert len(sel_q1) == 3
+    assert sorted(sel_q1[:, 0]) == sect_a.members[1].tolist()
+    assert all(sel[1] == sect_b.members[1][0] for sel in sel_q1)
 
     # GSA invariants on random instances: homogeneity and the frame-count identity
     for trial in range(10):
@@ -193,9 +193,9 @@ def test_c4_scheduler_suite():
         seq = gsa_schedule(parts, sects, seed=trial)
         expected = sum(max(len(s.members[q]) for s in sects) for q in range(grid.n_sectors))
         assert seq.n_frames == expected
-        for frame in seq.frames:
+        for sel, sector in zip(seq.selection, seq.sector):
             for b in range(4):
-                assert frame.selection[b] in sects[b].members[frame.sector]
+                assert sel[b] in sects[b].members[sector]
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     passline(4, "scheduler suite", elapsed,

@@ -10,7 +10,7 @@ from beamsim.clustering import (
     TIE_RTOL,
     ClusterPartition,
     channel_features,
-    cluster_barycentres,
+    cluster_means,
     max_dist_partition,
 )
 from beamsim.engine import build_iteration
@@ -230,10 +230,19 @@ def test_determinism():
 
 
 def test_barycentres():
-    xy = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-    part = ClusterPartition(1, [np.array([0, 1]), np.array([2, 3])], 4).validate()
-    bary = cluster_barycentres(xy, part)
-    assert np.allclose(bary, [[1.0, 0.0], [1.0, 2.0]])
+    xy = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0], [5.0, -1.0]])
+    rows = np.array([[0, 1], [2, 3], [4, -1]])
+    bary = cluster_means(xy, rows)
+    assert np.allclose(bary, [[1.0, 0.0], [1.0, 2.0], [5.0, -1.0]])
+    # the same additions and division as a per-cluster .mean, to the last bit
+    rng = np.random.default_rng(6)
+    for k in (1, 2, 3, 4, 8):
+        for values in (rng.normal(size=(37, 2)), rng.normal(size=(37, 5)) * 1j + 0.3):
+            order = rng.permutation(len(values))
+            rows = np.full((-(-len(values) // k), k), -1)
+            rows.flat[:len(values)] = order
+            expected = np.vstack([values[r[r >= 0]].mean(axis=0) for r in rows])
+            assert cluster_means(values, rows).tobytes() == expected.tobytes()
 
 
 def test_partition_validation_catches_overlap():

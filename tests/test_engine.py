@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from beamsim import engine
+from beamsim import engine, precoding
 from beamsim.errors import ValidationError
 
 from conftest import bundled_scenario
@@ -49,21 +49,23 @@ def test_run_cell_smoke(small_scenario):
 
 
 def test_gsa_frames_match_sector_bound(small_scenario):
+    state = engine.build_iteration(small_scenario, 2, 2.5e-4, 0)
     res = engine.run_iteration(small_scenario, 2, 2.5e-4, ("gsa",), iteration=0,
                                collect_trace=True)
     data = res.per_policy["gsa"]
-    sectors = data.sectors
-    # frames per sector equal the max member count across beams (engine-level
-    # reconstruction of the scheduler's bound)
     sched = data.schedule
-    for q in np.unique(sectors):
-        n_frames_q = int((sectors == q).sum())
-        in_q = sched["sector"] == q
-        max_served = max(
-            len(np.unique(sched["cluster"][in_q & (sched["beam"] == b)]))
-            for b in np.unique(sched["beam"][in_q])
-        )
-        assert n_frames_q >= max_served
+    n_beams = small_scenario.n_beams
+    n_sectors = state.sectorisations[0].grid.n_sectors
+    # clusters of beam b in sector q, from the sectorisation the scheduler read
+    counts = np.array([[len(s.members[q]) for q in range(n_sectors)]
+                       for s in state.sectorisations])
+    # each populated sector runs exactly max_b |members_b(q)| frames
+    for q in range(n_sectors):
+        assert int((data.sectors == q).sum()) == counts[:, q].max()
+    # a beam borrows exactly when its own sector is empty
+    assert np.array_equal(sched["borrowed"],
+                          counts[sched["beam"], sched["sector"]] == 0)
+    assert len(sched["beam"]) == len(data.sectors) * n_beams
 
 
 def test_table_writer_formats_by_dtype(tmp_path):
@@ -151,6 +153,23 @@ def test_failing_cell_recorded_not_fatal(small_scenario, tmp_path):
     assert (500, 2.5e-4) not in reports
     diag = (out / "diagnostics.txt").read_text()
     assert "K=500" in diag
+
+
+def test_nan_frame_is_a_cell_diagnostic(small_scenario, tmp_path, monkeypatch):
+    precoded_sinr = precoding.precoded_sinr
+
+    def first_user_nan(*args):
+        sinr = precoded_sinr(*args)
+        sinr[0] = np.nan
+        return sinr
+
+    monkeypatch.setattr(precoding, "precoded_sinr", first_user_nan)
+    out = tmp_path / "nan"
+    with pytest.raises(ValidationError, match="NaN"):
+        engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4)], out_dir=str(out),
+                              iterations=1)
+    assert "K=2 rho=0.00025: cluster rates need SINRs that are not NaN" in (
+        out / "diagnostics.txt").read_text()
 
 
 def test_unexpected_cell_error_propagates(small_scenario, monkeypatch):

@@ -57,6 +57,15 @@ def test_empty_cluster_rejected(table):
         cluster_rates([lin(3.0), lin(4.0)], [1], table)
 
 
+def test_nan_sinr_rejected(table):
+    # a NaN used to sort above every threshold and score the top ModCod
+    with pytest.raises(ValidationError, match="NaN"):
+        cluster_rates([np.nan, lin(5.0)], [1, 1], table)
+    with pytest.raises(ValidationError, match="NaN"):
+        cluster_rates([lin(10.0), np.nan], [2], table)
+    assert cluster_rates([np.inf, lin(5.0)], [1, 1], table).tolist() == [3.0, 2.0]
+
+
 def test_rate_monotone_in_member_sinr(table):
     rng = np.random.default_rng(31)
     for _ in range(200):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsim.engine import build_iteration
 from beamsim.errors import ValidationError
@@ -104,6 +106,14 @@ def test_none_mode_and_zero_matrix():
         normalize_power(np.zeros((2, 2), dtype=complex), "sum-power", 1.0)
     with pytest.raises(ValidationError):
         normalize_power(w, "equal", 1.0)
+
+
+@pytest.mark.parametrize("mode", ["sum-power", "per-antenna"])
+def test_non_finite_power_rejected(mode):
+    # dividing by an infinite or NaN power used to return a NaN matrix
+    for w in ([[np.inf, 1.0], [1.0, 1.0]], [[np.nan, 1.0], [1.0, 1.0]]):
+        with pytest.raises(ValidationError, match="power"):
+            normalize_power(np.array(w, dtype=complex), mode, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +253,7 @@ def test_paper_rule_on_physical_channel_equals_normalized_mode(scenario19):
     p_z = cfg.noise_power_w
     p_tx = cfg.tx_power(scenario19.n_beams)
     for frame in range(4):
-        h = np.vstack([eq[frame] for eq in state.eqvecs])
+        h = state.eqvec[state.first_cluster + frame]
         w_phys = normalize_power(mmse_precoder(h * np.sqrt(p_z), p_z / p_tx), "sum-power", p_tx)
         w_norm = normalize_power(mmse_precoder(h, 1.0 / p_tx), "sum-power", p_tx)
         assert np.linalg.norm(w_phys - w_norm) <= 1e-10 * np.linalg.norm(w_norm)
@@ -257,3 +267,48 @@ def test_precoded_sinr_shapes():
     assert (g >= 0).all() and np.isfinite(g).all()
     g2 = nonprecoded_sinr(h[0], [2], 1.0)
     assert g2.shape == (1,)
+
+
+# ---------------------------------------------------------------------------
+# oracles on ill-conditioned frames
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    log_spread=st.floats(-12.0, 0.0),
+    log_alpha=st.floats(-12.0, 0.0),
+    log_p_tx=st.floats(-1.0, 3.0),
+)
+def test_oracles_on_near_collinear_frames(n, seed, log_spread, log_alpha, log_p_tx):
+    # rows = one common vector + a perturbation of 10^log_spread: near-collinear
+    # users, with cond(H) up to about 1e12 and beyond
+    rng = np.random.default_rng(seed)
+    h = random_complex(rng, (1, n)) + 10.0 ** log_spread * random_complex(rng, (n, n))
+    alpha, p_tx = 10.0 ** log_alpha, 10.0 ** log_p_tx
+    gram = h.conj().T @ h + alpha * np.eye(n)
+    w = mmse_precoder(h, alpha)
+    # the solve is backward stable whatever the conditioning ...
+    residual = np.linalg.norm(gram @ w - h.conj().T)
+    assert residual <= 10 * n * EPS * np.linalg.norm(gram) * np.linalg.norm(w)
+    # ... and matches the explicit inverse to within the Gram matrix's condition
+    oracle = explicit_inverse_oracle(h, alpha)
+    err = np.linalg.norm(w - oracle) / np.linalg.norm(oracle)
+    assert err <= 50 * n * EPS * np.linalg.cond(gram)
+
+    # SINRs of the frame's own users against the term-by-term oracle, within the
+    # rounding of the dot products h_i w_j: bounded by (sum_k |h_ik| |w_kj|)^2
+    w = normalize_power(w, "sum-power", p_tx)
+    serving = np.arange(n)
+    prec = precoded_sinr(h, serving, w, p_tx)
+    oracle_prec, _ = brute_force_sinr(h, serving, w, p_tx)
+    g = p_tx * np.abs(h @ w) ** 2
+    bound = p_tx * (np.abs(h) @ np.abs(w)) ** 2
+    own = bound[serving, serving]
+    interference = g.sum(axis=1) - g[serving, serving]
+    tol = 16 * n * EPS * (own + prec * (bound.sum(axis=1) - own)) / (interference + 1.0)
+    assert (np.abs(prec - oracle_prec) <= tol).all()

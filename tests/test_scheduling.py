@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsim.clustering import ClusterPartition
 from beamsim.errors import ValidationError
@@ -39,7 +41,7 @@ def test_single_cluster_always_selected():
     parts = [partition_with(1), partition_with(1), partition_with(1)]
     seq = random_schedule(parts, n_frame=5, seed=0)
     assert seq.n_frames == 5
-    assert (seq.selections() == 0).all()
+    assert (seq.selection == 0).all()
 
 
 def test_full_permutation_when_frames_equal_clusters():
@@ -47,7 +49,7 @@ def test_full_permutation_when_frames_equal_clusters():
     for seed in range(10):
         seq = random_schedule(parts, seed=seed)
         assert seq.n_frames == 3
-        sel = seq.selections()
+        sel = seq.selection
         for b in range(2):
             assert sorted(sel[:, b].tolist()) == [0, 1, 2]
 
@@ -58,7 +60,7 @@ def test_unequal_beams_reinitialize():
     parts = [partition_with(2), partition_with(4)]
     for seed in range(20):
         seq = random_schedule(parts, n_frame=4, seed=seed)
-        sel = seq.selections()
+        sel = seq.selection
         assert sorted(sel[:2, 0].tolist()) == [0, 1]
         assert set(sel[2:, 0].tolist()) <= {0, 1}
         assert sorted(sel[:, 1].tolist()) == [0, 1, 2, 3]
@@ -77,7 +79,7 @@ def test_max_beam_served_exactly_once():
         parts = [partition_with(int(c), beam_id=b) for b, c in enumerate(counts)]
         seq = random_schedule(parts, seed=int(rng.integers(1 << 30)))
         assert seq.n_frames == int(counts.max())
-        sel = seq.selections()
+        sel = seq.selection
         b_max = int(np.argmax(counts))
         served = sel[:, b_max].tolist()
         assert sorted(served) == list(range(int(counts.max())))
@@ -88,7 +90,7 @@ def test_no_repetition_within_epoch():
     counts = [5, 3, 7]
     parts = [partition_with(c, beam_id=b) for b, c in enumerate(counts)]
     seq = random_schedule(parts, n_frame=7, seed=3)
-    sel = seq.selections()
+    sel = seq.selection
     for b, c in enumerate(counts):
         epoch = sel[:c, b].tolist()
         assert len(set(epoch)) == c
@@ -98,8 +100,8 @@ def test_random_schedule_deterministic():
     parts = [partition_with(4), partition_with(2)]
     a = random_schedule(parts, n_frame=6, seed=99)
     b = random_schedule(parts, n_frame=6, seed=99)
-    assert np.array_equal(a.selections(), b.selections())
-    assert all(f.sector == NO_SECTOR for f in a.frames)
+    assert np.array_equal(a.selection, b.selection)
+    assert (a.sector == NO_SECTOR).all()
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +120,11 @@ def test_one_cluster_per_sector_is_deterministic():
     seq = gsa_schedule(parts, sects, seed=5)
     assert seq.n_frames == grid.n_sectors
     # frame q serves exactly the unique sector-q cluster in every beam
-    for frame in seq.frames:
-        expected = sects[0].members[frame.sector][0]
-        assert (frame.selection == expected).all()
-        assert not frame.borrowed.any()
-    assert [f.sector for f in seq.frames] == [BEAM_CENTER_SECTOR] + list(
+    for sel, sector, borrowed in zip(seq.selection, seq.sector, seq.borrowed):
+        expected = sects[0].members[sector][0]
+        assert (sel == expected).all()
+        assert not borrowed.any()
+    assert seq.sector.tolist() == [BEAM_CENTER_SECTOR] + list(
         range(1, grid.n_sectors)
     )
 
@@ -138,12 +140,12 @@ def test_sector_frame_count_and_reserving():
     sect_c, n_c = sectorisation_from_counts(grid, 2, counts_b)
     parts = [partition_with(n_a, 0), partition_with(n_b, 1), partition_with(n_c, 2)]
     seq = gsa_schedule(parts, [sect_a, sect_b, sect_c], seed=8)
-    frames_q1 = [f for f in seq.frames if f.sector == 1]
-    assert len(frames_q1) == 3
-    assert sorted(f.selection[0] for f in frames_q1) == sect_a.members[1].tolist()
-    for f in frames_q1:
-        assert f.selection[1] == sect_b.members[1][0]
-        assert f.selection[2] == sect_c.members[1][0]
+    sel_q1 = seq.selection[seq.sector == 1]
+    assert len(sel_q1) == 3
+    assert sorted(sel_q1[:, 0]) == sect_a.members[1].tolist()
+    for sel in sel_q1:
+        assert sel[1] == sect_b.members[1][0]
+        assert sel[2] == sect_c.members[1][0]
     assert seq.n_frames == sum(max(a, b) for a, b in zip(counts_a, counts_b))
 
 
@@ -159,8 +161,8 @@ def test_all_clusters_in_one_sector_degenerates_to_random():
         parts.append(partition_with(n, beam_id=b))
     seq = gsa_schedule(parts, sects, seed=2)
     assert seq.n_frames == 5
-    assert all(f.sector == 4 for f in seq.frames)
-    sel = seq.selections()
+    assert (seq.sector == 4).all()
+    sel = seq.selection
     for b in range(2):
         assert sorted(sel[:, b].tolist()) == list(range(5))  # full sweep, no repeats
 
@@ -177,10 +179,10 @@ def test_sector_homogeneity_every_frame():
             sects.append(s)
             parts.append(partition_with(n, beam_id=b))
         seq = gsa_schedule(parts, sects, seed=trial)
-        for frame in seq.frames:
+        for sel, sector, borrowed in zip(seq.selection, seq.sector, seq.borrowed):
             for b in range(4):
-                assert frame.selection[b] in sects[b].members[frame.sector]
-                assert not frame.borrowed[b]
+                assert sel[b] in sects[b].members[sector]
+                assert not borrowed[b]
         expected = sum(
             max(len(s.members[q]) for s in sects) for q in range(grid.n_sectors)
         )
@@ -200,15 +202,8 @@ def test_every_cluster_served_at_least_once():
         sects.append(s)
         parts.append(partition_with(n, beam_id=b))
     seq = gsa_schedule(parts, sects, seed=7)
-    sel = seq.selections()
     for b, part in enumerate(parts):
-        served = set(sel[:, b].tolist())
-        borrowed_frames = {
-            f.frame for f in seq.frames if f.borrowed is not None and f.borrowed[b]
-        }
-        own = {
-            int(f.selection[b]) for f in seq.frames if f.frame not in borrowed_frames
-        }
+        own = set(seq.selection[~seq.borrowed[:, b], b].tolist())
         assert own == set(range(part.n_clusters))
 
 
@@ -222,12 +217,12 @@ def test_empty_sector_borrows_from_nearest():
     s1, n1 = sectorisation_from_counts(grid, 1, counts_full)
     parts = [partition_with(n0, 0), partition_with(n1, 1)]
     seq = gsa_schedule(parts, [s0, s1], seed=9)
-    frames_q5 = [f for f in seq.frames if f.sector == 5]
-    assert len(frames_q5) == 2  # beam 1 has two clusters there
-    for f in frames_q5:
-        assert f.borrowed[0] and not f.borrowed[1]
-        assert f.selection[0] in s0.members[4]
-        assert f.selection[1] in s1.members[5]
+    in_q5 = seq.sector == 5
+    assert in_q5.sum() == 2  # beam 1 has two clusters there
+    for sel, borrowed in zip(seq.selection[in_q5], seq.borrowed[in_q5]):
+        assert borrowed[0] and not borrowed[1]
+        assert sel[0] in s0.members[4]
+        assert sel[1] in s1.members[5]
 
 
 def test_gsa_deterministic_and_validated():
@@ -236,8 +231,68 @@ def test_gsa_deterministic_and_validated():
     parts = [partition_with(n0, 0)]
     a = gsa_schedule(parts, [s0], seed=31)
     b = gsa_schedule(parts, [s0], seed=31)
-    assert np.array_equal(a.selections(), b.selections())
+    assert np.array_equal(a.selection, b.selection)
     with pytest.raises(ValidationError):
         gsa_schedule([partition_with(n0 + 1, 0)], [s0], seed=0)
     with pytest.raises(ValidationError):
         gsa_schedule(parts, [], seed=0)
+
+
+# ---------------------------------------------------------------------------
+# coverage properties on random instances
+# ---------------------------------------------------------------------------
+
+N_SECTORS_3X3 = grid_3x3().n_sectors
+
+
+@st.composite
+def beams_by_sector(draw):
+    """Per-beam cluster counts in each sector of `grid_3x3` (every beam non-empty)."""
+    n_beams = draw(st.integers(1, 5))
+    counts = st.lists(st.integers(0, 4), min_size=N_SECTORS_3X3, max_size=N_SECTORS_3X3)
+    return draw(st.lists(counts.filter(any), min_size=n_beams, max_size=n_beams))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=beams_by_sector(), seed=st.integers(0, 2**32 - 1))
+def test_random_schedule_coverage(counts, seed):
+    n_k = [sum(c) for c in counts]
+    seq = random_schedule([partition_with(n, beam_id=b) for b, n in enumerate(n_k)], seed=seed)
+    assert seq.n_frames == max(n_k)
+    assert seq.selection.shape == (seq.n_frames, len(n_k))
+    for b, n in enumerate(n_k):
+        # every cluster of the beam within its first N_K_b frames
+        assert sorted(seq.selection[:n, b].tolist()) == list(range(n))
+        assert ((seq.selection[:, b] >= 0) & (seq.selection[:, b] < n)).all()
+    assert (seq.sector == NO_SECTOR).all()
+    assert not seq.borrowed.any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=beams_by_sector(), seed=st.integers(0, 2**32 - 1))
+def test_gsa_schedule_coverage(counts, seed):
+    grid = grid_3x3()
+    rng = np.random.default_rng(seed)
+    sects, parts = [], []
+    for b, c in enumerate(counts):
+        # each sector's clusters drawn at random from the beam's cluster ids
+        ids = rng.permutation(sum(c))
+        members = np.split(ids, np.cumsum(c)[:-1])
+        sects.append(Sectorisation(b, grid, members))
+        parts.append(partition_with(sum(c), beam_id=b))
+    seq = gsa_schedule(parts, sects, seed=seed)
+
+    # sector q runs max_b |members_b(q)| frames, beam-centre disc first
+    order = [BEAM_CENTER_SECTOR] + [q for q in range(grid.n_sectors) if q != BEAM_CENTER_SECTOR]
+    n_q = [max(c[q] for c in counts) for q in order]
+    assert np.array_equal(seq.sector, np.repeat(order, n_q))
+    for b, s in enumerate(sects):
+        empty = np.array([len(s.members[q]) == 0 for q in range(grid.n_sectors)])
+        # a beam borrows exactly in the frames of a sector where it has no cluster
+        assert np.array_equal(seq.borrowed[:, b], empty[seq.sector])
+        for sel, q, borrowed in zip(seq.selection[:, b], seq.sector, seq.borrowed[:, b]):
+            donor = next(d for d in grid.neighbor_order(q) if len(s.members[d])) if borrowed else q
+            assert sel in s.members[donor]
+        # every cluster is served in its own sector's frames
+        own = seq.selection[~seq.borrowed[:, b], b]
+        assert set(own.tolist()) == set(range(parts[b].n_clusters))
