@@ -40,8 +40,8 @@ def random_schedule(partitions, n_frame=None, seed=0) -> ScheduleSequence:
     its cluster count and is re-initialized afterwards, so a sequence of
     max_b N_K frames serves every cluster of the largest beam exactly once.
     """
-    n_k = [p.n_clusters for p in partitions]
-    bound = max(n_k)
+    n_k = np.array([p.n_clusters for p in partitions])
+    bound = int(n_k.max())
     if n_frame is None:
         n_frame = bound
     if n_frame < bound:
@@ -49,17 +49,18 @@ def random_schedule(partitions, n_frame=None, seed=0) -> ScheduleSequence:
             f"n_frame={n_frame} is below the required max cluster count {bound}"
         )
     rng = np.random.default_rng(seed)
-    pools = [list(range(k)) for k in n_k]
-    selection = np.empty((n_frame, len(partitions)), dtype=int)
+    beams = np.arange(len(n_k))
+    pools = np.tile(np.arange(bound), (len(n_k), 1))   # beam b's pool: row b's first size[b]
+    size = n_k.copy()
+    selection = np.empty((n_frame, len(n_k)), dtype=int)
     for n, sel in enumerate(selection, start=1):
-        for b, pool in enumerate(pools):
-            j = int(rng.integers(len(pool)))
-            sel[b] = pool[j]
-            if n < n_k[b]:
-                pool[j] = pool[-1]
-                pool.pop()
-            else:
-                pools[b] = list(range(n_k[b]))
+        j = rng.integers(0, size)
+        sel[:] = pools[beams, j]
+        shrink = n < n_k
+        rows = beams[shrink]
+        pools[rows, j[shrink]] = pools[rows, size[shrink] - 1]
+        pools[~shrink] = np.arange(bound)
+        size = np.where(shrink, size - 1, n_k)
     return ScheduleSequence(selection, np.full(n_frame, NO_SECTOR),
                             np.zeros(selection.shape, dtype=bool))
 
@@ -85,6 +86,7 @@ def gsa_schedule(partitions, sectorisations: list[Sectorisation], seed=0) -> Sch
                 f"expected {p.n_clusters}"
             )
     rng = np.random.default_rng(seed)
+    beams = np.arange(len(partitions))
     order = [BEAM_CENTER_SECTOR] + [q for q in range(grid.n_sectors) if q != BEAM_CENTER_SECTOR]
     n_q = [max(len(s.members[q]) for s in sectorisations) for q in order]
     sector = np.repeat(order, n_q)
@@ -94,24 +96,26 @@ def gsa_schedule(partitions, sectorisations: list[Sectorisation], seed=0) -> Sch
     for q, sel_q, borrowed_q in zip(order, np.split(selection, bounds), np.split(borrowed, bounds)):
         if not len(sel_q):
             continue
-        initial, lent = [], []
-        for s in sectorisations:
-            donor = q if len(s.members[q]) else next(
-                q2 for q2 in grid.neighbor_order(q) if len(s.members[q2])
-            )
-            initial.append(list(s.members[donor]))
-            lent.append(donor != q)
+        donors = [q if len(s.members[q]) else next(
+            q2 for q2 in grid.neighbor_order(q) if len(s.members[q2])
+        ) for s in sectorisations]
+        lent = np.array(donors) != q
         borrowed_q[:] = lent
-        pools = [list(p) for p in initial]
+        members = [s.members[donor] for s, donor in zip(sectorisations, donors)]
+        full = np.array([len(m) for m in members])
+        initial = np.zeros((len(members), full.max()), dtype=int)   # row b's first full[b]
+        for row, m in zip(initial, members):
+            row[:len(m)] = m
+        pools, size = initial.copy(), full.copy()
         for sel in sel_q:
-            for b, pool in enumerate(pools):
-                j = int(rng.integers(len(pool)))
-                sel[b] = pool[j]
-                if lent[b]:
-                    continue  # borrowed pools are sampled with replacement
-                if len(pool) > 1:
-                    pool[j] = pool[-1]
-                    pool.pop()
-                else:
-                    pools[b] = list(initial[b])
+            j = rng.integers(0, size)
+            sel[:] = pools[beams, j]
+            # borrowed pools are sampled with replacement
+            shrink = ~lent & (size > 1)
+            refill = ~lent & (size == 1)
+            rows = beams[shrink]
+            pools[rows, j[shrink]] = pools[rows, size[shrink] - 1]
+            size[shrink] -= 1
+            pools[refill] = initial[refill]
+            size[refill] = full[refill]
     return ScheduleSequence(selection, sector, borrowed)

@@ -55,6 +55,39 @@ def assert_same_partition(partition, expected):
     assert [c.tolist() for c in partition.clusters] == [c.tolist() for c in expected]
 
 
+def assert_follows_max_dist(features, partition, cluster_size):
+    """Replay `partition` pass by pass against MaxDist's rule, with direct distances.
+
+    Each cluster must hold the reference the tie rule picks from the remaining
+    pool; its other members must be no farther from that reference than any
+    remaining user left out, up to TIE_RTOL of the largest barycentre
+    distance; the last cluster is the rest.
+    """
+    feats = np.asarray(features, dtype=float)
+    remaining = np.arange(len(feats))
+    for cluster in partition.clusters:
+        if remaining.size <= cluster_size:
+            assert cluster.tolist() == remaining.tolist()
+            remaining = remaining[:0]
+            continue
+        assert len(cluster) == cluster_size
+        pool = feats[remaining]
+        centred = pool - pool.mean(axis=0)
+        bary = np.einsum("ij,ij->i", centred, centred)
+        top = bary.max()
+        ref = remaining[np.argmax(bary >= top - TIE_RTOL * top)]
+        if (pool == pool[0]).all():
+            # a pool of one point has no farthest user: the Gram rounding picks
+            ref = cluster[0]
+        assert ref in cluster
+        dist = np.einsum("ij,ij->i", pool - feats[ref], pool - feats[ref])
+        inside = np.isin(remaining, cluster)
+        assert inside.sum() == cluster_size
+        assert dist[inside].max() <= dist[~inside].min() + TIE_RTOL * top
+        remaining = remaining[~inside]
+    assert remaining.size == 0
+
+
 # ---------------------------------------------------------------------------
 # hand-traced examples
 # ---------------------------------------------------------------------------
@@ -122,6 +155,14 @@ def test_last_cluster_smaller():
 def test_empty_input_rejected():
     with pytest.raises(ValidationError):
         max_dist_partition(np.empty((0, 2)), 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(bad):
+    feats = np.random.default_rng(8).normal(size=(9, 4))
+    feats[5, 2] = bad
+    with pytest.raises(ValidationError, match="beam 17"):
+        max_dist_partition(feats, 2, beam_id=17)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +242,24 @@ def test_matches_reference_on_random_features(seed, n, k, dim, log_scale, offset
     draw = rng.uniform(-1.0, 1.0, size=(n, dim)) if uniform else rng.normal(size=(n, dim))
     feats = 10.0**log_scale * (offset + draw)
     assert_same_partition(max_dist_partition(feats, k), reference_max_dist(feats, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    k=st.integers(1, 9),
+    dim=st.integers(1, 4),
+    span=st.integers(0, 4),
+    log_scale=st.integers(-3, 3),
+)
+def test_follows_max_dist_on_tied_grid_features(seed, n, k, dim, span, log_scale):
+    # integer-grid features tie exactly, in barycentre and neighbour distances
+    rng = np.random.default_rng(seed)
+    feats = rng.integers(-span, span + 1, size=(n, dim)) * 10.0**log_scale
+    part = max_dist_partition(feats, k)
+    assert part.n_clusters == math.ceil(n / k)
+    assert_follows_max_dist(feats, part, k)
 
 
 @pytest.mark.parametrize("layout", ["beams_hex7.json", "beams_hex19.json", "beams_europe71.json"])

@@ -296,3 +296,69 @@ def test_gsa_schedule_coverage(counts, seed):
         # every cluster is served in its own sector's frames
         own = seq.selection[~seq.borrowed[:, b], b]
         assert set(own.tolist()) == set(range(parts[b].n_clusters))
+
+
+# ---------------------------------------------------------------------------
+# the array schedulers against one scalar draw per beam and frame
+# ---------------------------------------------------------------------------
+
+def loop_random_selection(n_k, n_frame, seed):
+    """`random_schedule`'s rule with one scalar draw per beam and frame."""
+    rng = np.random.default_rng(seed)
+    pools = [list(range(k)) for k in n_k]
+    selection = np.empty((n_frame, len(n_k)), dtype=int)
+    for n, sel in enumerate(selection, start=1):
+        for b, pool in enumerate(pools):
+            j = int(rng.integers(len(pool)))
+            sel[b] = pool[j]
+            if n < n_k[b]:
+                pool[j] = pool[-1]
+                pool.pop()
+            else:
+                pools[b] = list(range(n_k[b]))
+    return selection
+
+
+def loop_gsa_selection(sects, seed):
+    """`gsa_schedule`'s rule with one scalar draw per beam and frame."""
+    grid = sects[0].grid
+    rng = np.random.default_rng(seed)
+    order = [BEAM_CENTER_SECTOR] + [q for q in range(grid.n_sectors) if q != BEAM_CENTER_SECTOR]
+    rows = []
+    for q in order:
+        donors = [q if len(s.members[q]) else next(
+            d for d in grid.neighbor_order(q) if len(s.members[d])) for s in sects]
+        initial = [list(s.members[d]) for s, d in zip(sects, donors)]
+        pools = [list(p) for p in initial]
+        for _ in range(max(len(s.members[q]) for s in sects)):
+            row = []
+            for b, pool in enumerate(pools):
+                j = int(rng.integers(len(pool)))
+                row.append(pool[j])
+                if donors[b] != q:
+                    continue  # borrowed pools are sampled with replacement
+                if len(pool) > 1:
+                    pool[j] = pool[-1]
+                    pool.pop()
+                else:
+                    pools[b] = list(initial[b])
+            rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=beams_by_sector(), extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_schedules_match_scalar_draws(counts, extra, seed):
+    grid = grid_3x3()
+    rng = np.random.default_rng(seed)
+    sects, parts = [], []
+    for b, c in enumerate(counts):
+        members = np.split(rng.permutation(sum(c)), np.cumsum(c)[:-1])
+        sects.append(Sectorisation(b, grid, members))
+        parts.append(partition_with(sum(c), beam_id=b))
+    n_k = [sum(c) for c in counts]
+    n_frame = max(n_k) + extra
+    assert np.array_equal(random_schedule(parts, n_frame, seed).selection,
+                          loop_random_selection(n_k, n_frame, seed))
+    assert np.array_equal(gsa_schedule(parts, sects, seed).selection,
+                          loop_gsa_selection(sects, seed))
