@@ -13,7 +13,7 @@ from .channel import (
     channel_matrix,
 )
 from .clustering import ClusterPartition, channel_features, max_dist_partition
-from .engine import RunManifest, run_cell, run_experiment, run_iteration
+from .engine import RunManifest, run_experiment, run_iteration
 from .errors import GeometryError, ValidationError
 from .geometry import SectorGrid, Sectorisation, sectorise
 from .link_adaptation import MetricsReport, aggregate, cluster_rates
@@ -55,7 +55,6 @@ __all__ = [
     "normalize_power",
     "aggregate",
     "random_schedule",
-    "run_cell",
     "run_experiment",
     "run_iteration",
     "RunManifest",

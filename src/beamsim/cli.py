@@ -54,23 +54,9 @@ def _load_scenario(args) -> Scenario:
 
 
 def _parse_sweep(args, cfg):
-    ks = (
-        [int(v) for v in str(args.cluster_size).split(",")]
-        if args.cluster_size is not None
-        else [cfg.cluster_size]
-    )
-    rhos = (
-        [float(v) for v in str(args.density).split(",")]
-        if args.density is not None
-        else [cfg.user_density]
-    )
-    return [(k, rho) for k in ks for rho in rhos]
-
-
-def _policies(args):
-    if args.scheduler == "both":
-        return ("random", "gsa")
-    return (args.scheduler,)
+    ks = str(cfg.cluster_size if args.cluster_size is None else args.cluster_size).split(",")
+    rhos = str(cfg.user_density if args.density is None else args.density).split(",")
+    return [(int(k), float(rho)) for k in ks for rho in rhos]
 
 
 def cmd_run(args) -> int:
@@ -80,7 +66,7 @@ def cmd_run(args) -> int:
     reports, _ = engine.run_experiment(
         scenario,
         sweep=sweep,
-        policies=_policies(args),
+        policies=engine.POLICIES if args.scheduler == "both" else (args.scheduler,),
         out_dir=out_dir,
         threads=args.threads,
         iterations=args.iterations,
@@ -138,8 +124,9 @@ def cmd_sectorize(args) -> int:
 def cmd_cluster(args) -> int:
     scenario = _load_scenario(args)
     cfg = scenario.config
-    state = engine.build_iteration(scenario, cfg.cluster_size, cfg.user_density, 0)
-    dep = state.deployment
+    draw = engine.draw_iteration(scenario, cfg.user_density, 0)
+    state = engine.build_iteration(scenario, cfg.cluster_size, draw)
+    dep = draw.deployment
     rows, slots = np.nonzero(state.clusters >= 0)
     users = state.clusters[rows, slots]
     cluster = rows - state.first_cluster[dep.beam_idx[users]]

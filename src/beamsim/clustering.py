@@ -94,12 +94,15 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> Cluster
         # distance table of the remaining users, centred on their barycentre;
         # rebuilt once half of them are taken, so that |x|^2 stays near the
         # distances it yields and the subtractions below lose little precision
-        x = feats[ids] - feats[ids].mean(axis=0)
-        gram = x @ x.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = feats[ids] - feats[ids].mean(axis=0)
+            gram = x @ x.T
+            row_sum = gram.sum(axis=1)  # g = G 1_R over the remaining users R
+            total = row_sum.sum()       # |s|^2 = 1_R^T G 1_R, s the sum over R
+        if not np.isfinite(total):
+            raise ValidationError(f"beam {beam_id}: features too large for the distance table")
         far = gram.diagonal().copy()    # |x_i|^2, -inf once taken
         near = far.copy()               # |x_i|^2, +inf once taken
-        row_sum = gram.sum(axis=1)      # g = G 1_R over the remaining users R
-        total = row_sum.sum()           # |s|^2 = 1_R^T G 1_R, s the sum over R
         bary = np.empty_like(far)
         dist = np.empty_like(far)
         m = ids.size

@@ -1,19 +1,23 @@
 """Monte Carlo orchestration.
 
-One iteration = deploy users, synthesize channels, cluster, sectorise, then
-run each requested scheduler over the same deployment so policy comparisons
-are paired.  The clusters are rows of one padded table (beam b's cluster c at
-`first_cluster[b] + c`), and frame f of a schedule serves the rows
-`first_cluster + selection[f]`.  Every RNG stream derives from (master_seed,
-iteration, purpose), so iterations are independent of execution order and the
-run is reproducible at any worker count.
+The unit of work is one (density, iteration): deploy its users and
+synthesize their channels once, then cluster, sectorise and run each
+requested scheduler on them for every cluster size of the sweep, so policy
+and cluster-size comparisons are paired.  The clusters are rows of one
+padded table (beam b's cluster c at `first_cluster[b] + c`), and frame f of a
+schedule serves the rows `first_cluster + selection[f]`.  Every RNG stream
+derives from (master_seed, iteration, purpose), so the run is reproducible
+at any worker count; each cell's rows are written an iteration at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -52,13 +56,21 @@ class Deployment:
 
 
 @dataclass
-class IterationState:
-    """Everything an iteration schedules from, shared by all its policies."""
+class IterationDraw:
+    """One (density, iteration)'s users and channel, shared by every K and policy."""
 
     deployment: Deployment
     h: np.ndarray             # (n_users, N_B) channel matrix with the iteration's phases
     deployment_hash: str
     channel_hash: str
+    nonprec: np.ndarray       # (n_users,) SINR without precoding
+
+
+@dataclass
+class IterationState:
+    """One cluster size's clusters and sectors on a draw, shared by all its policies."""
+
+    draw: IterationDraw
     clusters: np.ndarray      # (C, K) global user ids per cluster, -1 past its size
     cluster_sizes: np.ndarray # (C,) members per cluster
     first_cluster: np.ndarray # (N_B,) beam b's cluster c is row first_cluster[b] + c
@@ -69,13 +81,12 @@ class IterationState:
 
 @dataclass
 class PolicyIterationData:
-    """One policy's frames in one iteration; the tables map column name -> 1-D array."""
+    """One policy's frames in one iteration; a table maps column name -> 1-D array."""
 
     rates: np.ndarray                     # (n_frames, N_B) bit/s/Hz
     loss_flags: np.ndarray                # (n_frames,) bool
     sectors: np.ndarray                   # (n_frames,) sector label (NO_SECTOR for random)
-    schedule: dict | None = None          # a row per (frame, beam)
-    sinr_trace: dict | None = None        # a row per (frame, served user), SINRs in dB
+    traces: dict = field(default_factory=dict)  # file name -> table, when traces are kept
     user_map: dict | None = None          # a row per user: mean SINRs over its frames
 
 
@@ -85,6 +96,10 @@ class IterationResult:
     deployment_hash: str
     channel_hash: str
     per_policy: dict
+    channel_map: tuple | None = None      # the draw's (Deployment, |h| in dB) when asked for
+
+
+_CELL_ERRORS = (ValidationError, GeometryError, np.linalg.LinAlgError)
 
 
 def _db(x):
@@ -109,24 +124,33 @@ def deploy(scenario: Scenario, density: float, iteration: int) -> Deployment:
     )
 
 
-def _channel(scenario: Scenario, dep: Deployment, phases) -> np.ndarray:
-    cfg = scenario.config
-    satellite = scenario.satellite()
-    rf = chn.beam_rf_parameters(scenario.beams, satellite, cfg.tx_aperture_efficiency)
-    return chn.channel_matrix(dep.lat, dep.lon, dep.slant, dep.beam_idx, rf, satellite, cfg,
-                              phases)
-
-
-def build_iteration(scenario: Scenario, cluster_size: int, density: float,
-                    iteration: int) -> IterationState:
-    """Deploy, synthesize channels, cluster and sectorise one iteration."""
+def draw_iteration(scenario: Scenario, density: float, iteration: int) -> IterationDraw:
+    """Deploy one iteration's users and synthesize their channels."""
     cfg = scenario.config
     dep = deploy(scenario, density, iteration)
     phases = chn.draw_phases(
         len(scenario.beams),
         np.random.default_rng(iteration_seed(cfg.master_seed, iteration, _SEED_PHASES)),
     )
-    h = _channel(scenario, dep, phases)
+    satellite = scenario.satellite()
+    rf = chn.beam_rf_parameters(scenario.beams, satellite, cfg.tx_aperture_efficiency)
+    h = chn.channel_matrix(dep.lat, dep.lon, dep.slant, dep.beam_idx, rf, satellite, cfg,
+                           phases)
+    return IterationDraw(
+        deployment=dep,
+        h=h,
+        deployment_hash=hashlib.sha256(
+            np.ascontiguousarray(np.column_stack([dep.lat, dep.lon, dep.slant])).tobytes()
+        ).hexdigest(),
+        channel_hash=hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest(),
+        nonprec=precoding.nonprecoded_sinr(h, dep.beam_idx, cfg.tx_power(len(scenario.beams))),
+    )
+
+
+def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) -> IterationState:
+    """Cluster and sectorise one draw's users at one cluster size."""
+    cfg = scenario.config
+    dep, h = draw.deployment, draw.h
 
     # per-beam clustering in the configured similarity space; MaxDist fills
     # every cluster of a beam but its last, the only row of the table padded
@@ -158,12 +182,7 @@ def build_iteration(scenario: Scenario, cluster_size: int, density: float,
         sectorisations.append(geometry.sectorise(grid, beam.beam_id, grid.assign(phi, radius)))
 
     return IterationState(
-        deployment=dep,
-        h=h,
-        deployment_hash=hashlib.sha256(
-            np.ascontiguousarray(np.column_stack([dep.lat, dep.lon, dep.slant])).tobytes()
-        ).hexdigest(),
-        channel_hash=hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest(),
+        draw=draw,
         clusters=clusters,
         cluster_sizes=np.count_nonzero(clusters >= 0, axis=1),
         first_cluster=first_cluster,
@@ -173,43 +192,62 @@ def build_iteration(scenario: Scenario, cluster_size: int, density: float,
     )
 
 
-def run_iteration(scenario: Scenario, cluster_size: int, density: float, policies,
-                  iteration: int, collect_trace=False, collect_map=False) -> IterationResult:
+def run_iteration(scenario: Scenario, cluster_sizes, density: float, policies, iteration: int,
+                  collect_trace=False, collect_map=False, channel_map=False) -> dict:
+    """Draw one (density, iteration) and evaluate each cluster size on it.
+
+    Returns {cluster size: IterationResult, or the validation, geometry or
+    linear-algebra error that size raised}; any other error propagates.  With
+    `channel_map`, the first size that succeeds carries the draw's map.
+    """
     cfg = scenario.config
-    state = build_iteration(scenario, cluster_size, density, iteration)
+    try:
+        draw = draw_iteration(scenario, density, iteration)
+    except _CELL_ERRORS as exc:
+        return dict.fromkeys(cluster_sizes, exc)
+    mapped = (draw.deployment, 20.0 * np.log10(np.abs(draw.h))) if channel_map else None
     p_tx = cfg.tx_power(len(scenario.beams))
     if cfg.regularization_mode == "paper":
         alpha = cfg.noise_power_w / p_tx
     else:
         alpha = 1.0 / p_tx
-    nonprec_all = precoding.nonprecoded_sinr(state.h, state.deployment.beam_idx, p_tx)
 
-    per_policy = {}
-    for policy in policies:
-        if policy == "random":
-            seq = scheduling.random_schedule(
-                state.partitions, cfg.n_frames,
-                iteration_seed(cfg.master_seed, iteration, _SEED_RANDOM),
+    results = {}
+    for cluster_size in cluster_sizes:
+        try:
+            state = build_iteration(scenario, cluster_size, draw)
+            per_policy = {
+                policy: _evaluate_policy(scenario, policy, state, iteration, alpha, p_tx,
+                                         collect_trace, collect_map)
+                for policy in policies
+            }
+            results[cluster_size] = IterationResult(
+                iteration, draw.deployment_hash, draw.channel_hash, per_policy, mapped,
             )
-        elif policy == "gsa":
-            seq = scheduling.gsa_schedule(
-                state.partitions, state.sectorisations,
-                iteration_seed(cfg.master_seed, iteration, _SEED_GSA),
-            )
-        else:
-            raise ValidationError(f"unknown scheduler policy {policy!r}")
-        per_policy[policy] = _evaluate_schedule(
-            scenario, seq, state, nonprec_all, alpha, p_tx, collect_trace, collect_map,
-        )
-
-    return IterationResult(iteration, state.deployment_hash, state.channel_hash, per_policy)
+            mapped = None           # the first size that succeeds carries the map
+        except _CELL_ERRORS as exc:
+            results[cluster_size] = exc
+    return results
 
 
-def _evaluate_schedule(scenario, seq, state, nonprec_all, alpha, p_tx, collect_trace,
-                       collect_map):
+def _evaluate_policy(scenario, policy, state, iteration, alpha, p_tx, collect_trace,
+                     collect_map):
     cfg = scenario.config
+    if policy == "random":
+        seq = scheduling.random_schedule(
+            state.partitions, cfg.n_frames,
+            iteration_seed(cfg.master_seed, iteration, _SEED_RANDOM),
+        )
+    elif policy == "gsa":
+        seq = scheduling.gsa_schedule(
+            state.partitions, state.sectorisations,
+            iteration_seed(cfg.master_seed, iteration, _SEED_GSA),
+        )
+    else:
+        raise ValidationError(f"unknown scheduler policy {policy!r}")
     n_beams = len(scenario.beams)
-    h_all, beam_idx = state.h, state.deployment.beam_idx
+    dep, h_all, nonprec_all = state.draw.deployment, state.draw.h, state.draw.nonprec
+    beam_idx = dep.beam_idx
 
     n_frames = seq.n_frames
     rates = np.zeros((n_frames, n_beams))
@@ -238,14 +276,14 @@ def _evaluate_schedule(scenario, seq, state, nonprec_all, alpha, p_tx, collect_t
     prec = np.concatenate(frame_prec)
     if collect_trace:
         frame_no = np.arange(1, n_frames + 1)
-        data.schedule = {
+        data.traces["schedule.csv"] = {
             "frame": np.repeat(frame_no, n_beams),
             "sector": np.repeat(seq.sector, n_beams),
             "beam": np.tile(np.arange(n_beams), n_frames),
             "cluster": seq.selection.ravel(),
             "borrowed": seq.borrowed.ravel(),
         }
-        data.sinr_trace = {
+        data.traces["sinr_trace.csv"] = {
             "frame": np.repeat(frame_no, [len(m) for m in frame_members]),
             "beam": beam_idx[members],
             "user": members,
@@ -259,7 +297,6 @@ def _evaluate_schedule(scenario, seq, state, nonprec_all, alpha, p_tx, collect_t
         served = serve_count > 0
         mean_prec = np.full(n_users, np.nan)
         mean_prec[served] = _db(prec_sum[served] / serve_count[served])
-        dep = state.deployment
         data.user_map = {
             "beam": dep.beam_id,
             "user": np.arange(n_users),
@@ -273,39 +310,8 @@ def _evaluate_schedule(scenario, seq, state, nonprec_all, alpha, p_tx, collect_t
 
 
 # ---------------------------------------------------------------------------
-# Cell / experiment drivers
+# Run outputs and the experiment loop
 # ---------------------------------------------------------------------------
-
-def _iteration_task(args):
-    scenario, k, rho, policies, iteration, collect_trace, collect_map = args
-    return run_iteration(scenario, k, rho, policies, iteration, collect_trace, collect_map)
-
-
-def run_cell(scenario: Scenario, cluster_size: int, density: float, policies=POLICIES,
-             iterations=None, threads=1, collect_trace=False):
-    """All Monte Carlo iterations of one (cluster size, density) cell.
-
-    Returns (list of IterationResult in iteration order, MetricsReport); only
-    iteration 0 carries user maps.
-    """
-    cfg = scenario.config
-    iterations = cfg.monte_carlo_iterations if iterations is None else int(iterations)
-    check_density_supports_clusters(scenario, cluster_size, density)
-    tasks = [
-        (scenario, cluster_size, density, tuple(policies), it, collect_trace, it == 0)
-        for it in range(iterations)
-    ]
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_iteration_task, tasks, chunksize=1))
-    else:
-        results = [_iteration_task(t) for t in tasks]
-
-    rates_by_policy = {p: [r.per_policy[p].rates for r in results] for p in policies}
-    loss_by_policy = {p: [r.per_policy[p].loss_flags for r in results] for p in policies}
-    report = aggregate(cluster_size, density, rates_by_policy, loss_by_policy)
-    return results, report
-
 
 @dataclass
 class RunManifest:
@@ -363,85 +369,51 @@ def _column_text(column: np.ndarray) -> list:
     raise TypeError(f"no CSV format for dtype {column.dtype}")
 
 
-def _write_table(path, columns):
+def _write_table(path, columns, append=False):
     """Write {column name: 1-D values} as CSV, `_CHUNK_ROWS` rows at a time.
 
     Integers and bools are written as integers, floats to 10 significant
-    digits (`nan` for NaN), strings as they are.
+    digits (`nan` for NaN), strings as they are.  `append` adds the rows to
+    the file without a header; appended tables join as one.
     """
     arrays = [np.asarray(c) for c in columns.values()]
     n_rows = len(arrays[0])
     if any(len(a) != n_rows for a in arrays):
         raise ValueError(f"{path}: columns differ in length")
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open(path, "a" if append else "w") as fh:
+        if not append:
+            fh.write(",".join(columns) + "\n")
         for start in range(0, n_rows, _CHUNK_ROWS):
             fields = [_column_text(a[start:start + _CHUNK_ROWS]) for a in arrays]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
-def _stack(iterations, tables):
-    """Per-iteration tables as one, led by an iteration column."""
-    lengths = [len(next(iter(t.values()))) for t in tables]
-    return {
-        "iteration": np.repeat(iterations, lengths),
-        **{name: np.concatenate([t[name] for t in tables]) for name in tables[0]},
-    }
+def _append_iteration(cell, result):
+    """Append one iteration's rows to each policy's tables in `cell`; iteration 0 starts them."""
+    for policy, data in result.per_policy.items():
+        os.makedirs(os.path.join(cell, policy), exist_ok=True)
+        n_frames, n_beams = data.rates.shape
+        frame = np.arange(1, n_frames + 1)
+        tables = {
+            "rates.csv": {
+                "frame": np.repeat(frame, n_beams),
+                "beam": np.tile(np.arange(n_beams), n_frames),
+                "rate": data.rates.ravel(),
+            },
+            "frames.csv": {"frame": frame, "sector": data.sectors, "loss": data.loss_flags},
+            **data.traces,
+        }
+        for name, table in tables.items():
+            rows = np.full(len(next(iter(table.values()))), result.iteration)
+            _write_table(os.path.join(cell, policy, name), {"iteration": rows, **table},
+                         append=result.iteration > 0)
+        if data.user_map is not None:
+            _write_table(os.path.join(cell, policy, "user_map.csv"), data.user_map)
 
 
-def _write_cell_outputs(out_dir, cluster_size, density, policy, results, report):
-    cell = os.path.join(out_dir, f"K{cluster_size}_rho{density:g}", policy)
-    os.makedirs(cell, exist_ok=True)
-
-    agg = report.policies[policy]
-    data = [r.per_policy[policy] for r in results]
-    iterations = [r.iteration for r in results]
-    frames = _stack(iterations, [
-        {"frame": np.arange(1, len(d.rates) + 1), "sector": d.sectors, "loss": d.loss_flags}
-        for d in data
-    ])
-    rates = np.vstack([d.rates for d in data])
-    n_beams = rates.shape[1]
-    tables = {
-        "iterations.csv": {
-            "iteration": iterations,
-            "eta_bar": agg.per_iteration_eta,
-            "loss_frame_fraction": agg.per_iteration_loss_fraction,
-            "n_frames": agg.per_iteration_frames,
-            "deployment_hash": [r.deployment_hash for r in results],
-            "channel_hash": [r.channel_hash for r in results],
-        },
-        "rates.csv": {
-            "iteration": np.repeat(frames["iteration"], n_beams),
-            "frame": np.repeat(frames["frame"], n_beams),
-            "beam": np.tile(np.arange(n_beams), len(rates)),
-            "rate": rates.ravel(),
-        },
-        "frames.csv": frames,
-    }
-    if data[0].schedule is not None:
-        tables["schedule.csv"] = _stack(iterations, [d.schedule for d in data])
-        tables["sinr_trace.csv"] = _stack(iterations, [d.sinr_trace for d in data])
-    if data[0].user_map is not None:
-        tables["user_map.csv"] = data[0].user_map
-
-    written = []
-    for name, table in tables.items():
-        path = os.path.join(cell, name)
-        _write_table(path, table)
-        written.append(path)
-    return written
-
-
-def write_channel_map(scenario: Scenario, density, out_dir):
-    """Debug dump of per-user channel magnitudes for the iteration-0 deployment.
-
-    Magnitudes do not depend on the random phases, which are left at zero, so
-    the map depends only on the density; one long-format row per (user, antenna).
-    """
-    dep = deploy(scenario, density, 0)
-    n_users, n_beams = len(dep.lat), len(scenario.beams)
-    mag_db = 20.0 * np.log10(np.abs(_channel(scenario, dep, np.zeros(n_beams))))
+def write_channel_map(out_dir, density, dep: Deployment, magnitude_db):
+    """Debug dump of iteration 0's |h| in dB, a row per (user, antenna); K plays no part."""
+    n_users, n_beams = magnitude_db.shape
     path = os.path.join(out_dir, f"channel_map_rho{density:g}.csv")
     _write_table(path, {
         "beam": np.repeat(dep.beam_id, n_beams),
@@ -449,7 +421,7 @@ def write_channel_map(scenario: Scenario, density, out_dir):
         "lat": np.repeat(dep.lat, n_beams),
         "lon": np.repeat(dep.lon, n_beams),
         "antenna": np.tile(np.arange(n_beams), n_users),
-        "magnitude_db": mag_db.ravel(),
+        "magnitude_db": magnitude_db.ravel(),
     })
     return path
 
@@ -481,43 +453,82 @@ def write_summary(out_dir, reports):
 
 def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=None,
                    threads=1, iterations=None, write_traces=True, channel_map=False):
-    """Run the full sweep; optionally write per-cell artifacts and a manifest.
+    """Run the sweep; optionally write per-cell artifacts and a manifest.
 
     Returns (dict mapping (cluster_size, density) -> MetricsReport, manifest).
     A cell failing with a validation, geometry or linear-algebra error is
-    recorded as a diagnostic and does not abort the sweep; any other error
-    propagates.
+    recorded as a diagnostic, leaves no files and does not abort the sweep;
+    any other error propagates.
     """
     cfg = scenario.config
     if sweep is None:
         sweep = [(cfg.cluster_size, cfg.user_density)]
-    if not sweep:
-        raise ValidationError("sweep must contain at least one (cluster_size, density) cell")
     iterations = cfg.monte_carlo_iterations if iterations is None else int(iterations)
+    if not sweep or iterations < 1:
+        raise ValidationError("a run needs at least one sweep cell and one iteration")
 
-    reports = {}
-    diagnostics = []
-    artifacts = []
-    mapped = set()    # densities whose channel map is written
-    for cluster_size, density in sweep:
+    errors = {}       # cell -> the error of its lowest failing iteration
+    sizes = {}        # density -> the cluster sizes it runs
+    for cluster_size, density in dict.fromkeys(sweep):
         try:
-            results, report = run_cell(
-                scenario, cluster_size, density, policies, iterations, threads,
-                collect_trace=write_traces,
-            )
-        except (ValidationError, GeometryError, np.linalg.LinAlgError) as exc:
-            # record and continue with the other cells
-            diagnostics.append(f"K={cluster_size} rho={density:g}: {exc}")
-            continue
-        reports[(cluster_size, density)] = report
-        if out_dir:
-            for policy in policies:
-                artifacts.extend(
-                    _write_cell_outputs(out_dir, cluster_size, density, policy, results, report)
+            check_density_supports_clusters(scenario, cluster_size, density)
+        except ValidationError as exc:
+            errors[cluster_size, density] = exc
+        else:
+            sizes.setdefault(density, []).append(cluster_size)
+    held = {(k, rho): [] for rho, ks in sizes.items() for k in ks}  # results, traces dropped
+    reports, artifacts = {}, []
+    names = ["iterations.csv", "rates.csv", "frames.csv", "user_map.csv"]
+    names += ["schedule.csv", "sinr_trace.csv"] if write_traces else []
+    write = bool(out_dir)
+    units = [(scenario, sizes[rho], rho, tuple(policies), it, write and write_traces,
+              write and it == 0, write and channel_map and it == 0)
+             for rho in sizes for it in range(iterations)]
+    pool = ProcessPoolExecutor(threads) if threads and threads > 1 else None
+    with pool or contextlib.nullcontext():
+        done = pool.map(run_iteration, *zip(*units)) if pool else itertools.starmap(
+            run_iteration, units)
+        for (_, _, density, *_), by_size in zip(units, done):
+            for cluster_size, result in by_size.items():
+                cell = (cluster_size, density)
+                cell_dir = os.path.join(out_dir or "", f"K{cluster_size}_rho{density:g}")
+                if cell in errors:
+                    continue
+                if isinstance(result, Exception):
+                    errors[cell] = result
+                    if held.pop(cell) and write:
+                        shutil.rmtree(cell_dir)
+                    continue
+                if write:
+                    _append_iteration(cell_dir, result)
+                if result.channel_map is not None:
+                    artifacts.append(write_channel_map(out_dir, density, *result.channel_map))
+                    result.channel_map = None
+                for data in result.per_policy.values():
+                    data.traces, data.user_map = {}, None
+                held[cell].append(result)
+                if len(held[cell]) < iterations:
+                    continue
+                results = held.pop(cell)        # the cell is complete
+                reports[cell] = aggregate(
+                    cluster_size, density,
+                    {p: [r.per_policy[p].rates for r in results] for p in policies},
+                    {p: [r.per_policy[p].loss_flags for r in results] for p in policies},
                 )
-            if channel_map and density not in mapped:
-                mapped.add(density)
-                artifacts.append(write_channel_map(scenario, density, out_dir))
+                if not write:
+                    continue
+                for policy, agg in reports[cell].policies.items():
+                    _write_table(os.path.join(cell_dir, policy, "iterations.csv"), {
+                        "iteration": [r.iteration for r in results],
+                        "eta_bar": agg.per_iteration_eta,
+                        "loss_frame_fraction": agg.per_iteration_loss_fraction,
+                        "n_frames": agg.per_iteration_frames,
+                        "deployment_hash": [r.deployment_hash for r in results],
+                        "channel_hash": [r.channel_hash for r in results],
+                    })
+                artifacts += [os.path.join(cell_dir, p, name) for p in policies for name in names]
+    reports = {cell: reports[cell] for cell in sweep if cell in reports}
+    diagnostics = [f"K={k} rho={r:g}: {errors[k, r]}" for k, r in sweep if (k, r) in errors]
 
     manifest = RunManifest(
         tool_version=f"beamsim {__version__}",

@@ -40,13 +40,17 @@ def scenario19():
 
 
 def cell(scenario, cluster_size):
-    """Paired random/GSA metrics for one cluster size, cached across criteria."""
-    if cluster_size not in _cells:
-        _, report = engine.run_cell(
-            scenario, cluster_size, DENSITY, policies=("random", "gsa"),
+    """Paired random/GSA metrics for one cluster size, cached across criteria.
+
+    The first call runs the whole K = 1, 2, 4, 8 sweep, which draws each
+    iteration's users and channel once for all four cells.
+    """
+    if not _cells:
+        reports, _ = engine.run_experiment(
+            scenario, sweep=[(k, DENSITY) for k in (1, 2, 4, 8)], policies=("random", "gsa"),
             iterations=ITERATIONS, threads=THREADS,
         )
-        _cells[cluster_size] = report
+        _cells.update({k: report for (k, _), report in reports.items()})
     return _cells[cluster_size]
 
 

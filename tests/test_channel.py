@@ -17,7 +17,7 @@ from beamsim.channel import (
     gaussian_gain,
     taper_bracket,
 )
-from beamsim.engine import build_iteration
+from beamsim.engine import build_iteration, draw_iteration
 from beamsim.errors import ValidationError
 from beamsim.scenario import config_from_mapping
 
@@ -230,11 +230,12 @@ def test_phase_modes(cfg, scenario7):
 
 def test_equivalent_vector_examples(scenario7):
     """Every cluster's equivalent vector is its members' mean channel vector."""
+    draw = draw_iteration(scenario7, scenario7.config.user_density, 0)
     for k in (1, 2):
-        state = build_iteration(scenario7, k, scenario7.config.user_density, 0)
+        state = build_iteration(scenario7, k, draw)
         assert state.eqvec.shape == (len(state.clusters), scenario7.n_beams)
         for row, v in zip(state.clusters, state.eqvec):
             members = row[row >= 0]
             if k == 1:      # a single member is its own equivalent vector
-                assert np.array_equal(v, state.h[members[0]])
-            assert np.allclose(v, state.h[members].mean(axis=0), rtol=1e-14, atol=0.0)
+                assert np.array_equal(v, draw.h[members[0]])
+            assert np.allclose(v, draw.h[members].mean(axis=0), rtol=1e-14, atol=0.0)

@@ -1,10 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import yaml
 
 import beamsim
+from beamsim import channel, engine
 from beamsim.cli import data_path, main
-from beamsim.engine import build_iteration
+from beamsim.engine import build_iteration, draw_iteration
 from beamsim.geometry import satellite_ecef_km
 
 from conftest import bundled_scenario
@@ -116,8 +119,9 @@ def test_cluster_dumps_partitions(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     scenario = bundled_scenario("beams_hex7.json")
     cfg = scenario.config
-    state = build_iteration(scenario, cfg.cluster_size, cfg.user_density, 0)
-    dep = state.deployment
+    draw = draw_iteration(scenario, cfg.user_density, 0)
+    state = build_iteration(scenario, cfg.cluster_size, draw)
+    dep = draw.deployment
     expected = [
         f"{beam.beam_id},{ci},{m},{dep.lat[m]:.6f},{dep.lon[m]:.6f}"
         for beam, part, sel in zip(scenario.beams, state.partitions,
@@ -162,6 +166,27 @@ def test_channel_map_matches_public_api(small_config, tmp_path):
     assert np.allclose(rows[:, 0, 3], [u.lon for u in users], rtol=1e-9)
     assert np.array_equal(rows[:, :, 4], np.tile(np.arange(n_beams), (n_users, 1)))
     assert np.allclose(rows[:, :, 5], 20.0 * np.log10(np.abs(h)), rtol=1e-9)
+
+
+def test_one_draw_per_density_iteration(small_config, tmp_path, monkeypatch):
+    # users and channel depend only on (density, iteration): a K sweep and its
+    # channel map draw each of the 2 iterations once
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(engine, "deploy_users")
+    count(channel, "channel_matrix")
+    assert main(["run", "--config", small_config, "--beams", hex7(), "--cluster-size", "1,2,4",
+                 "--iterations", "2", "--channel-map", "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"deploy_users": 2, "channel_matrix": 2}
 
 
 @pytest.mark.parametrize("seed", [-1, 2**32 + 5])

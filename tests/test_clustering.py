@@ -13,7 +13,7 @@ from beamsim.clustering import (
     cluster_means,
     max_dist_partition,
 )
-from beamsim.engine import build_iteration
+from beamsim.engine import build_iteration, draw_iteration
 from beamsim.errors import ValidationError
 
 from conftest import bundled_scenario
@@ -165,6 +165,13 @@ def test_non_finite_features_rejected(bad):
         max_dist_partition(feats, 2, beam_id=17)
 
 
+def test_gram_overflow_rejected():
+    # finite features whose squared distances overflow: an error naming the beam, no warning
+    feats = np.random.default_rng(0).normal(size=(20, 3)) * 1e160
+    with pytest.raises(ValidationError, match="beam 4: features too large"):
+        max_dist_partition(feats, 2, beam_id=4)
+
+
 # ---------------------------------------------------------------------------
 # feature embedding
 # ---------------------------------------------------------------------------
@@ -267,13 +274,14 @@ def test_matches_reference_on_bundled_layouts(layout):
     """Both feature spaces of the bundled config's iteration 0, as the engine builds them."""
     scenario = bundled_scenario(layout)
     assert scenario.config.clustering_similarity == "channel"
-    state = build_iteration(scenario, 8, scenario.config.user_density, 0)
-    dep = state.deployment
+    draw = draw_iteration(scenario, scenario.config.user_density, 0)
+    state = build_iteration(scenario, 8, draw)
+    dep = draw.deployment
     for bi, beam in enumerate(scenario.beams):
         sel = np.flatnonzero(dep.beam_idx == bi)
         x, y = geometry.project_tangent(beam.center_lat, beam.center_lon,
                                         dep.lat[sel], dep.lon[sel])
-        chan = channel_features(state.h[sel])
+        chan = channel_features(draw.h[sel])
         for feats in (np.column_stack([x, y]), chan):
             for k in (1, 2, 4, 8):
                 assert_same_partition(max_dist_partition(feats, k), reference_max_dist(feats, k))

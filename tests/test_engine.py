@@ -25,35 +25,39 @@ def tree_files(root):
     return out
 
 
-def test_run_cell_smoke(small_scenario):
-    results, report = engine.run_cell(
-        small_scenario, cluster_size=2, density=2.5e-4, policies=("random", "gsa"),
-        iterations=2, collect_trace=True,
-    )
-    assert len(results) == 2
-    for policy in ("random", "gsa"):
-        agg = report.policies[policy]
+def test_run_iteration_smoke(small_scenario):
+    # one draw feeds every cluster size and both policies of an iteration
+    by_size = engine.run_iteration(small_scenario, (1, 2), 2.5e-4, ("random", "gsa"), 0,
+                                   collect_trace=True, collect_map=True)
+    assert list(by_size) == [1, 2]
+    assert by_size[1].channel_hash == by_size[2].channel_hash
+    for k, result in by_size.items():
+        data = result.per_policy
+        assert data["random"].rates.shape[1] == small_scenario.n_beams
+        assert set(data["gsa"].traces) == {"schedule.csv", "sinr_trace.csv"}
+        # the user map only counts scheduled frames
+        umap = data["gsa"].user_map
+        assert (umap["frames_served"] > 0).all()   # GSA serves every cluster
+        assert np.isfinite(umap["mean_precoded_db"]).all()
+        assert result.channel_map is None
+    later = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("gsa",), 1)[2]
+    assert later.per_policy["gsa"].user_map is None
+    assert later.per_policy["gsa"].traces == {}
+
+    reports, _ = engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4)], iterations=2)
+    for agg in reports[2, 2.5e-4].policies.values():
         assert agg.n_iterations == 2
         assert agg.eta_bar >= 0.0
         assert 0.0 <= agg.loss_frame_fraction <= 1.0
-        assert agg.n_frames == sum(len(r.per_policy[policy].rates) for r in results)
-    # the same deployment feeds both policies inside one iteration
-    data = results[0].per_policy
-    assert data["random"].rates.shape[1] == small_scenario.n_beams
-    assert data["gsa"].schedule is not None
-    # iteration-0 user map exists and only counts scheduled frames
-    umap = data["gsa"].user_map
-    assert (umap["frames_served"] > 0).all()   # GSA serves every cluster
-    assert np.isfinite(umap["mean_precoded_db"][umap["frames_served"] > 0]).all()
-    assert results[1].per_policy["gsa"].user_map is None
+        assert agg.n_frames == agg.per_iteration_frames.sum()
 
 
 def test_gsa_frames_match_sector_bound(small_scenario):
-    state = engine.build_iteration(small_scenario, 2, 2.5e-4, 0)
-    res = engine.run_iteration(small_scenario, 2, 2.5e-4, ("gsa",), iteration=0,
-                               collect_trace=True)
+    state = engine.build_iteration(small_scenario, 2, engine.draw_iteration(small_scenario, 2.5e-4, 0))
+    res = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("gsa",), iteration=0,
+                               collect_trace=True)[2]
     data = res.per_policy["gsa"]
-    sched = data.schedule
+    sched = data.traces["schedule.csv"]
     n_beams = small_scenario.n_beams
     n_sectors = state.sectorisations[0].grid.n_sectors
     # clusters of beam b in sector q, from the sectorisation the scheduler read
@@ -107,6 +111,16 @@ def test_table_writer_chunks_join_seamlessly(tmp_path, monkeypatch, chunk):
     assert len(whole.read_text().splitlines()) == 11
 
 
+def test_table_writer_append_joins_tables(tmp_path):
+    table = {"user": np.arange(6), "sinr_db": np.linspace(-1.0, 1.0, 6)}
+    whole = tmp_path / "whole.csv"
+    engine._write_table(whole, table)
+    parts = tmp_path / "parts.csv"
+    for i, rows in enumerate((slice(0, 2), slice(2, 2), slice(2, 6))):
+        engine._write_table(parts, {k: v[rows] for k, v in table.items()}, append=i > 0)
+    assert parts.read_text() == whole.read_text()
+
+
 def test_experiment_reruns_byte_identical(small_scenario, tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
@@ -122,23 +136,29 @@ def test_experiment_reruns_byte_identical(small_scenario, tmp_path):
 
 
 def test_thread_count_independence(small_scenario, tmp_path):
-    out1 = tmp_path / "t1"
-    out2 = tmp_path / "t2"
-    engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4)], out_dir=str(out1),
-                          threads=1, iterations=2)
-    engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4)], out_dir=str(out2),
-                          threads=2, iterations=2)
-    t1, t2 = tree_files(out1), tree_files(out2)
-    assert t1.keys() == t2.keys()
-    for name in t1:
-        assert t1[name] == t2[name], f"{name} differs across thread counts"
+    sweeps = {
+        "cell": ([(2, 2.5e-4)], False),
+        "sweep": ([(k, rho) for k in (1, 2, 4) for rho in (2.5e-4, 4e-4)], True),
+    }
+    for name, (sweep, channel_map) in sweeps.items():
+        trees = []
+        for threads in (1, 2):
+            out = tmp_path / f"{name}{threads}"
+            engine.run_experiment(small_scenario, sweep=sweep, out_dir=str(out),
+                                  threads=threads, iterations=2, channel_map=channel_map)
+            trees.append(tree_files(out))
+        t1, t2 = trees
+        assert t1.keys() == t2.keys()
+        for path in t1:
+            assert t1[path] == t2[path], f"{name}: {path} differs across thread counts"
+    assert sum(path.startswith("channel_map") for path in t1) == 2
 
 
 def test_policies_share_deployment(small_scenario):
     # separate single-policy runs still consume identical deployments/channels
-    res_r, _ = engine.run_cell(small_scenario, 2, 2.5e-4, ("random",), iterations=2)
-    res_g, _ = engine.run_cell(small_scenario, 2, 2.5e-4, ("gsa",), iterations=2)
-    for a, b in zip(res_r, res_g):
+    for it in range(2):
+        a = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("random",), it)[2]
+        b = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("gsa",), it)[2]
         assert a.deployment_hash == b.deployment_hash
         assert a.channel_hash == b.channel_hash
 
@@ -172,11 +192,38 @@ def test_nan_frame_is_a_cell_diagnostic(small_scenario, tmp_path, monkeypatch):
         out / "diagnostics.txt").read_text()
 
 
+def test_size_failing_mid_run_leaves_no_files(small_scenario, tmp_path, monkeypatch):
+    # K=4 fails at iteration 1, after its iteration 0 was written
+    run_iteration = engine.run_iteration
+
+    def failing_at_one(*args, **kwargs):
+        by_size = run_iteration(*args, **kwargs)
+        if args[4] == 1 and 4 in by_size:
+            by_size[4] = ValidationError("injected failure")
+        return by_size
+
+    monkeypatch.setattr(engine, "run_iteration", failing_at_one)
+    trees = []
+    for name, ks in (("with4", (1, 2, 4)), ("without4", (1, 2))):
+        out = tmp_path / name
+        reports, _ = engine.run_experiment(small_scenario, sweep=[(k, 2.5e-4) for k in ks],
+                                           out_dir=str(out), iterations=3, channel_map=True)
+        assert sorted(reports) == [(1, 2.5e-4), (2, 2.5e-4)]
+        trees.append(tree_files(out))
+    assert not (tmp_path / "with4" / "K4_rho0.00025").exists()
+    assert (tmp_path / "with4" / "diagnostics.txt").read_text() == (
+        "K=4 rho=0.00025: injected failure\n")
+    kept = [path for path in trees[1] if path != "manifest.json"]
+    assert sorted(trees[0]) == sorted(kept + ["diagnostics.txt", "manifest.json"])
+    for path in kept:
+        assert trees[0][path] == trees[1][path], f"{path} differs"
+
+
 def test_unexpected_cell_error_propagates(small_scenario, monkeypatch):
-    def broken_cell(*args, **kwargs):
+    def broken_build(*args, **kwargs):
         raise RuntimeError("bug in a pipeline stage")
 
-    monkeypatch.setattr(engine, "run_cell", broken_cell)
+    monkeypatch.setattr(engine, "build_iteration", broken_build)
     with pytest.raises(RuntimeError, match="bug in a pipeline stage"):
         engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4)], iterations=1)
 

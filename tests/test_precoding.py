@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamsim.engine import build_iteration
+from beamsim.engine import build_iteration, draw_iteration
 from beamsim.errors import ValidationError
 from beamsim.precoding import (
     mmse_precoder,
@@ -249,7 +249,8 @@ def test_paper_rule_on_physical_channel_equals_normalized_mode(scenario19):
     # alpha = P_Z / P_TX on the physical channel H sqrt(P_Z) must give, after
     # sum-power normalization, the precoder of alpha = 1 / P_TX on H.
     cfg = scenario19.config
-    state = build_iteration(scenario19, cfg.cluster_size, cfg.user_density, 0)
+    state = build_iteration(scenario19, cfg.cluster_size,
+                            draw_iteration(scenario19, cfg.user_density, 0))
     p_z = cfg.noise_power_w
     p_tx = cfg.tx_power(scenario19.n_beams)
     for frame in range(4):
