@@ -54,9 +54,23 @@ def _load_scenario(args) -> Scenario:
 
 
 def _parse_sweep(args, cfg):
-    ks = str(cfg.cluster_size if args.cluster_size is None else args.cluster_size).split(",")
-    rhos = str(cfg.user_density if args.density is None else args.density).split(",")
-    return [(int(k), float(rho)) for k in ks for rho in rhos]
+    ks = (
+        [int(v) for v in str(args.cluster_size).split(",")]
+        if args.cluster_size is not None
+        else [cfg.cluster_size]
+    )
+    rhos = (
+        [float(v) for v in str(args.density).split(",")]
+        if args.density is not None
+        else [cfg.user_density]
+    )
+    return [(k, rho) for k in ks for rho in rhos]
+
+
+def _policies(args):
+    if args.scheduler == "both":
+        return ("random", "gsa")
+    return (args.scheduler,)
 
 
 def cmd_run(args) -> int:
@@ -66,7 +80,7 @@ def cmd_run(args) -> int:
     reports, _ = engine.run_experiment(
         scenario,
         sweep=sweep,
-        policies=engine.POLICIES if args.scheduler == "both" else (args.scheduler,),
+        policies=_policies(args),
         out_dir=out_dir,
         threads=args.threads,
         iterations=args.iterations,

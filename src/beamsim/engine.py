@@ -389,7 +389,11 @@ def _write_table(path, columns, append=False):
 
 
 def _append_iteration(cell, result):
-    """Append one iteration's rows to each policy's tables in `cell`; iteration 0 starts them."""
+    """Append one iteration's rows to each policy's tables in `cell`; returns their paths.
+
+    Iteration 0 starts the tables, and only it carries user maps.
+    """
+    paths = []
     for policy, data in result.per_policy.items():
         os.makedirs(os.path.join(cell, policy), exist_ok=True)
         n_frames, n_beams = data.rates.shape
@@ -404,11 +408,29 @@ def _append_iteration(cell, result):
             **data.traces,
         }
         for name, table in tables.items():
+            paths.append(os.path.join(cell, policy, name))
             rows = np.full(len(next(iter(table.values()))), result.iteration)
-            _write_table(os.path.join(cell, policy, name), {"iteration": rows, **table},
-                         append=result.iteration > 0)
+            _write_table(paths[-1], {"iteration": rows, **table}, append=result.iteration > 0)
         if data.user_map is not None:
-            _write_table(os.path.join(cell, policy, "user_map.csv"), data.user_map)
+            paths.append(os.path.join(cell, policy, "user_map.csv"))
+            _write_table(paths[-1], data.user_map)
+    return paths
+
+
+def _write_iterations(cell, results, report):
+    """Each policy's per-iteration metrics of a completed cell; returns the paths."""
+    paths = []
+    for policy, agg in report.policies.items():
+        paths.append(os.path.join(cell, policy, "iterations.csv"))
+        _write_table(paths[-1], {
+            "iteration": [r.iteration for r in results],
+            "eta_bar": agg.per_iteration_eta,
+            "loss_frame_fraction": agg.per_iteration_loss_fraction,
+            "n_frames": agg.per_iteration_frames,
+            "deployment_hash": [r.deployment_hash for r in results],
+            "channel_hash": [r.channel_hash for r in results],
+        })
+    return paths
 
 
 def write_channel_map(out_dir, density, dep: Deployment, magnitude_db):
@@ -477,9 +499,8 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
         else:
             sizes.setdefault(density, []).append(cluster_size)
     held = {(k, rho): [] for rho, ks in sizes.items() for k in ks}  # results, traces dropped
+    written = {}      # cell -> the files its iteration 0 started
     reports, artifacts = {}, []
-    names = ["iterations.csv", "rates.csv", "frames.csv", "user_map.csv"]
-    names += ["schedule.csv", "sinr_trace.csv"] if write_traces else []
     write = bool(out_dir)
     units = [(scenario, sizes[rho], rho, tuple(policies), it, write and write_traces,
               write and it == 0, write and channel_map and it == 0)
@@ -496,11 +517,12 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
                     continue
                 if isinstance(result, Exception):
                     errors[cell] = result
-                    if held.pop(cell) and write:
+                    del held[cell]
+                    if written.pop(cell, None):
                         shutil.rmtree(cell_dir)
                     continue
                 if write:
-                    _append_iteration(cell_dir, result)
+                    written.setdefault(cell, _append_iteration(cell_dir, result))
                 if result.channel_map is not None:
                     artifacts.append(write_channel_map(out_dir, density, *result.channel_map))
                     result.channel_map = None
@@ -515,18 +537,9 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
                     {p: [r.per_policy[p].rates for r in results] for p in policies},
                     {p: [r.per_policy[p].loss_flags for r in results] for p in policies},
                 )
-                if not write:
-                    continue
-                for policy, agg in reports[cell].policies.items():
-                    _write_table(os.path.join(cell_dir, policy, "iterations.csv"), {
-                        "iteration": [r.iteration for r in results],
-                        "eta_bar": agg.per_iteration_eta,
-                        "loss_frame_fraction": agg.per_iteration_loss_fraction,
-                        "n_frames": agg.per_iteration_frames,
-                        "deployment_hash": [r.deployment_hash for r in results],
-                        "channel_hash": [r.channel_hash for r in results],
-                    })
-                artifacts += [os.path.join(cell_dir, p, name) for p in policies for name in names]
+                if write:
+                    artifacts += written.pop(cell)
+                    artifacts += _write_iterations(cell_dir, results, reports[cell])
     reports = {cell: reports[cell] for cell in sweep if cell in reports}
     diagnostics = [f"K={k} rho={r:g}: {errors[k, r]}" for k, r in sweep if (k, r) in errors]
 
@@ -558,3 +571,11 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
     if diagnostics and not reports:
         raise ValidationError("; ".join(diagnostics))
     return reports, manifest
+
+
+def run_cell(scenario: Scenario, cluster_size: int, density: float, policies=POLICIES,
+             iterations=None, threads=1):
+    """One (cluster size, density) cell of a sweep, without files: its MetricsReport."""
+    reports, _ = run_experiment(scenario, [(cluster_size, density)], policies, threads=threads,
+                                iterations=iterations)
+    return reports[cluster_size, density]

@@ -5,6 +5,7 @@ import pytest
 
 from beamsim import engine, precoding
 from beamsim.errors import ValidationError
+from beamsim.link_adaptation import aggregate
 
 from conftest import bundled_scenario
 
@@ -44,12 +45,37 @@ def test_run_iteration_smoke(small_scenario):
     assert later.per_policy["gsa"].user_map is None
     assert later.per_policy["gsa"].traces == {}
 
-    reports, _ = engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4)], iterations=2)
-    for agg in reports[2, 2.5e-4].policies.values():
-        assert agg.n_iterations == 2
-        assert agg.eta_bar >= 0.0
-        assert 0.0 <= agg.loss_frame_fraction <= 1.0
-        assert agg.n_frames == agg.per_iteration_frames.sum()
+
+
+def _report_values(report):
+    return {policy: (agg.eta_bar, agg.loss_frame_fraction, agg.n_frames, agg.n_iterations,
+                     agg.per_iteration_eta.tolist(), agg.per_iteration_loss_fraction.tolist(),
+                     agg.per_iteration_frames.tolist())
+            for policy, agg in report.policies.items()}
+
+
+def test_sweep_reports_pool_their_own_iterations(small_scenario):
+    # each cell's report aggregates exactly the results of its own K, density and
+    # iterations, computed here one cell-iteration at a time
+    sweep = [(1, 2.5e-4), (2, 2.5e-4), (2, 4e-4)]
+    reports, _ = engine.run_experiment(small_scenario, sweep=sweep, iterations=2)
+    assert list(reports) == sweep
+    for k, rho in sweep:
+        results = [engine.run_iteration(small_scenario, (k,), rho, engine.POLICIES, it)[k]
+                   for it in range(2)]
+        rates = {p: [r.per_policy[p].rates for r in results] for p in engine.POLICIES}
+        loss = {p: [r.per_policy[p].loss_flags for r in results] for p in engine.POLICIES}
+        for policy, agg in reports[k, rho].policies.items():
+            frames = [len(r) for r in rates[policy]]
+            assert agg.per_iteration_frames.tolist() == frames
+            assert agg.n_frames == sum(frames)
+            assert agg.n_iterations == 2
+            assert 0.0 <= agg.loss_frame_fraction <= 1.0
+        assert _report_values(reports[k, rho]) == _report_values(
+            aggregate(k, rho, rates, loss))
+    # the single-cell entry point reports what the sweep does
+    assert _report_values(engine.run_cell(small_scenario, 2, 4e-4, iterations=2)) == (
+        _report_values(reports[2, 4e-4]))
 
 
 def test_gsa_frames_match_sector_bound(small_scenario):
