@@ -12,10 +12,10 @@ from .channel import (
     beam_rf_parameters,
     channel_matrix,
 )
-from .clustering import ClusterPartition, channel_features, max_dist_partition
+from .clustering import channel_features, max_dist_partition
 from .engine import RunManifest, run_experiment, run_iteration
 from .errors import GeometryError, ValidationError
-from .geometry import SectorGrid, Sectorisation, sectorise
+from .geometry import SectorGrid
 from .link_adaptation import MetricsReport, aggregate, cluster_rates
 from .precoding import mmse_precoder, normalize_power
 from .scenario import (
@@ -39,7 +39,6 @@ __all__ = [
     "Beam",
     "channel_features",
     "channel_matrix",
-    "ClusterPartition",
     "cluster_rates",
     "deploy_users",
     "GeometryError",
@@ -62,8 +61,6 @@ __all__ = [
     "ScenarioConfig",
     "ScheduleSequence",
     "SectorGrid",
-    "Sectorisation",
-    "sectorise",
     "UserTerminal",
     "ValidationError",
 ]

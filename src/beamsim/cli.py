@@ -75,11 +75,10 @@ def _policies(args):
 
 def cmd_run(args) -> int:
     scenario = _load_scenario(args)
-    sweep = _parse_sweep(args, scenario.config)
     out_dir = _resolve_out(args)
-    reports, _ = engine.run_experiment(
+    reports, manifest = engine.run_experiment(
         scenario,
-        sweep=sweep,
+        sweep=_parse_sweep(args, scenario.config),
         policies=_policies(args),
         out_dir=out_dir,
         threads=args.threads,
@@ -97,9 +96,9 @@ def cmd_run(args) -> int:
         if report.gain is not None:
             print(f"K={k} rho={rho:g} gain (gsa - random): {report.gain:+.4f} bit/s/Hz")
     print(f"artifacts written to {out_dir}")
-    failed = [f"K={k} rho={rho:g}" for k, rho in sweep if (k, rho) not in reports]
+    failed = [f"K={k} rho={rho:g}" for k, rho in manifest.sweep if (k, rho) not in reports]
     if failed:
-        print(f"error: {len(failed)} of {len(sweep)} cells failed ({', '.join(failed)}); "
+        print(f"error: {len(failed)} of {len(manifest.sweep)} cells failed ({', '.join(failed)}); "
               f"see {os.path.join(out_dir, 'diagnostics.txt')}", file=sys.stderr)
         return 1
     return 0

@@ -29,36 +29,12 @@ rounding of the distances small and costs O(n^2 d) per beam in all.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
 
 # Reference picks within this relative distance of the farthest user tie.
 TIE_RTOL = 1e-9
-
-
-@dataclass
-class ClusterPartition:
-    """Partition of one beam's users into clusters of (at most) K members."""
-
-    beam_id: int
-    clusters: list          # list of np.ndarray of local user indices
-    n_users: int
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.clusters)
-
-    def validate(self):
-        seen = np.concatenate(self.clusters) if self.clusters else np.array([], dtype=int)
-        if len(seen) != self.n_users or len(np.unique(seen)) != self.n_users:
-            raise ValidationError(
-                f"beam {self.beam_id}: clusters do not partition the {self.n_users} users"
-            )
-        return self
 
 
 def channel_features(channel_vectors) -> np.ndarray:
@@ -74,8 +50,12 @@ def channel_features(channel_vectors) -> np.ndarray:
     return feats[0] if single else feats
 
 
-def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> ClusterPartition:
-    """Partition users into ceil(N/K) clusters with the MaxDist procedure."""
+def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> np.ndarray:
+    """Partition users into ceil(N/K) clusters with the MaxDist procedure.
+
+    Returns the (ceil(N/K), K) table of local user indices, a row per cluster
+    in the order MaxDist forms them; only the last row is padded with -1.
+    """
     feats = np.asarray(features, dtype=float)
     if feats.ndim == 1:
         feats = feats[:, None]
@@ -88,7 +68,7 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> Cluster
     if k < 1:
         raise ValidationError("cluster size must be >= 1")
 
-    clusters = []
+    table = np.full((-(-n // k), k), -1)  # each pass fills row (n - m) // k, m users left
     ids = np.arange(n)                  # remaining users, ascending: lowest-index ties
     while ids.size > k:
         # distance table of the remaining users, centred on their barycentre;
@@ -114,7 +94,7 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> Cluster
             top = bary.max()
             ref = int(np.argmax(bary >= top - TIE_RTOL * abs(top + total / (m * m))))
             if k == 1:
-                clusters.append(ids[ref:ref + 1])
+                table[n - m, 0] = ids[ref]
                 total += gram[ref, ref] - 2.0 * row_sum[ref]
                 row_sum -= gram[ref]
                 far[ref] = -np.inf
@@ -126,7 +106,7 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> Cluster
             if k == 2:
                 dist[ref] = np.inf
                 mate = int(np.argmin(dist))
-                clusters.append(ids[[min(ref, mate), max(ref, mate)]])
+                table[(n - m) // 2] = ids[[min(ref, mate), max(ref, mate)]]
                 taken = gram[ref] + gram[mate]
                 total += (taken[ref] + taken[mate]) - 2.0 * (row_sum[ref] + row_sum[mate])
                 row_sum -= taken
@@ -140,7 +120,7 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> Cluster
             sel = dist < kth
             sel[np.flatnonzero(dist == kth)[:k - np.count_nonzero(sel)]] = True
             take = np.flatnonzero(sel)
-            clusters.append(ids[take])
+            table[(n - m) // k] = ids[take]
             taken = gram[take].sum(axis=0)
             total += taken[take].sum() - 2.0 * row_sum[take].sum()
             row_sum -= taken
@@ -148,10 +128,15 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> Cluster
             near[take] = np.inf
             m -= k
         ids = ids[np.isfinite(far)]
-    clusters.append(ids)
+    table[-1, :ids.size] = ids
+    _check_partition(table, n, beam_id)
+    return table
 
-    assert len(clusters) == math.ceil(n / k)
-    return ClusterPartition(beam_id, clusters, n).validate()
+
+def _check_partition(table, n_users: int, beam_id: int):
+    """Raise unless the -1-padded `table` holds each of the n_users users exactly once."""
+    if not np.array_equal(np.sort(table[table >= 0]), np.arange(n_users)):
+        raise ValidationError(f"beam {beam_id}: clusters do not partition the {n_users} users")
 
 
 def cluster_means(values, rows) -> np.ndarray:

@@ -4,10 +4,11 @@ The unit of work is one (density, iteration): deploy its users and
 synthesize their channels once, then cluster, sectorise and run each
 requested scheduler on them for every cluster size of the sweep, so policy
 and cluster-size comparisons are paired.  The clusters are rows of one
-padded table (beam b's cluster c at `first_cluster[b] + c`), and frame f of a
-schedule serves the rows `first_cluster + selection[f]`.  Every RNG stream
-derives from (master_seed, iteration, purpose), so the run is reproducible
-at any worker count; each cell's rows are written an iteration at a time.
+padded table (beam b's cluster c at `first_cluster[b] + c`) with a sector
+label each, and frame f of a schedule serves the rows
+`first_cluster + selection[f]`.  Every RNG stream derives from (master_seed,
+iteration, purpose), so the run is reproducible at any worker count; each
+cell's rows are written an iteration at a time.
 """
 
 from __future__ import annotations
@@ -73,10 +74,10 @@ class IterationState:
     draw: IterationDraw
     clusters: np.ndarray      # (C, K) global user ids per cluster, -1 past its size
     cluster_sizes: np.ndarray # (C,) members per cluster
+    n_clusters: np.ndarray    # (N_B,) clusters per beam
     first_cluster: np.ndarray # (N_B,) beam b's cluster c is row first_cluster[b] + c
     eqvec: np.ndarray         # (C, N_B) equivalent channel vector: the members' mean
-    partitions: list          # partitions[b]: ClusterPartition of beam b's users
-    sectorisations: list      # sectorisations[b]: Sectorisation of beam b's clusters
+    sector: np.ndarray        # (C,) sector of each cluster's barycentre in its beam
 
 
 @dataclass
@@ -159,7 +160,7 @@ def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) 
     first_cluster = np.cumsum(n_clusters) - n_clusters
     clusters = np.full((n_clusters.sum(), cluster_size), -1)
     eqvec = np.empty((len(clusters), n_beams), dtype=h.dtype)
-    partitions, sectorisations = [], []
+    sector = np.empty(len(clusters), dtype=int)
     grid = cfg.sector_grid()
     for bi, beam in enumerate(scenario.beams):
         sel = np.flatnonzero(dep.beam_idx == bi)
@@ -170,25 +171,22 @@ def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) 
             feats = xy
         else:
             feats = clustering.channel_features(h[sel])
-        part = clustering.max_dist_partition(feats, cluster_size, beam.beam_id)
-        partitions.append(part)
-        local = np.full((part.n_clusters, cluster_size), -1)
-        local.flat[:len(sel)] = np.concatenate(part.clusters)
-        rows = slice(first_cluster[bi], first_cluster[bi] + part.n_clusters)
+        local = clustering.max_dist_partition(feats, cluster_size, beam.beam_id)
+        rows = slice(first_cluster[bi], first_cluster[bi] + n_clusters[bi])
         clusters[rows] = np.where(local >= 0, sel[local], -1)
         eqvec[rows] = clustering.cluster_means(h[sel], local)
         bary = clustering.cluster_means(xy, local)
         phi, radius = geometry.normalized_polar_from_xy(beam.boundary_xy, *bary.T, clamp=True)
-        sectorisations.append(geometry.sectorise(grid, beam.beam_id, grid.assign(phi, radius)))
+        sector[rows] = grid.assign(phi, radius)
 
     return IterationState(
         draw=draw,
         clusters=clusters,
         cluster_sizes=np.count_nonzero(clusters >= 0, axis=1),
+        n_clusters=n_clusters,
         first_cluster=first_cluster,
         eqvec=eqvec,
-        partitions=partitions,
-        sectorisations=sectorisations,
+        sector=sector,
     )
 
 
@@ -235,12 +233,12 @@ def _evaluate_policy(scenario, policy, state, iteration, alpha, p_tx, collect_tr
     cfg = scenario.config
     if policy == "random":
         seq = scheduling.random_schedule(
-            state.partitions, cfg.n_frames,
+            state.n_clusters, cfg.n_frames,
             iteration_seed(cfg.master_seed, iteration, _SEED_RANDOM),
         )
     elif policy == "gsa":
         seq = scheduling.gsa_schedule(
-            state.partitions, state.sectorisations,
+            state.sector, state.n_clusters, cfg.sector_grid(),
             iteration_seed(cfg.master_seed, iteration, _SEED_GSA),
         )
     else:
@@ -477,21 +475,23 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
                    threads=1, iterations=None, write_traces=True, channel_map=False):
     """Run the sweep; optionally write per-cell artifacts and a manifest.
 
-    Returns (dict mapping (cluster_size, density) -> MetricsReport, manifest).
-    A cell failing with a validation, geometry or linear-algebra error is
-    recorded as a diagnostic, leaves no files and does not abort the sweep;
-    any other error propagates.
+    Returns (dict mapping (cluster_size, density) -> MetricsReport, manifest);
+    a cell listed more than once runs once.  A cell failing with a
+    validation, geometry or linear-algebra error is recorded as a
+    diagnostic, leaves no files and does not abort the sweep; any other
+    error propagates.
     """
     cfg = scenario.config
     if sweep is None:
         sweep = [(cfg.cluster_size, cfg.user_density)]
+    sweep = list(dict.fromkeys(sweep))  # each cell once, where it first appears
     iterations = cfg.monte_carlo_iterations if iterations is None else int(iterations)
     if not sweep or iterations < 1:
         raise ValidationError("a run needs at least one sweep cell and one iteration")
 
     errors = {}       # cell -> the error of its lowest failing iteration
     sizes = {}        # density -> the cluster sizes it runs
-    for cluster_size, density in dict.fromkeys(sweep):
+    for cluster_size, density in sweep:
         try:
             check_density_supports_clusters(scenario, cluster_size, density)
         except ValidationError as exc:

@@ -161,7 +161,7 @@ def ray_boundary_distance(boundary_xy, phi):
     ux = np.cos(phi)[..., None]
     uy = np.sin(phi)[..., None]
     denom = ux * e[:, 1] - uy * e[:, 0]          # cross(u, edge), shape (..., n_edges)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = (v[:, 0] * e[:, 1] - v[:, 1] * e[:, 0]) / denom   # cross(p, edge)/cross(u, edge)
         s = (v[:, 0] * uy - v[:, 1] * ux) / denom             # cross(p, u)/cross(u, edge)
     eps = 1e-12
@@ -239,6 +239,9 @@ class SectorGrid:
     def __post_init__(self):
         r = np.asarray(self.radii, dtype=float)
         a = np.asarray(self.angles, dtype=float)
+        for name, values in (("sector_radii", r), ("sector_angles", a)):
+            if not np.isfinite(values).all():
+                raise ValidationError(f"{name} must be finite")
         if len(r) < 2 or np.any(np.diff(r) <= 0) or r[0] <= 0:
             raise ValidationError("sector_radii must be strictly ascending and positive")
         if abs(r[-1] - 1.0) > 1e-12:
@@ -303,19 +306,3 @@ class SectorGrid:
 
         return sorted((q for q in range(self.n_sectors) if q != sector), key=key)
 
-
-@dataclass
-class Sectorisation:
-    """Per-beam sector membership: ``members[q]`` lists the cluster indices
-    whose barycentre falls in sector q of this beam."""
-
-    beam_id: int
-    grid: SectorGrid
-    members: list
-
-
-def sectorise(grid: SectorGrid, beam_id: int, sectors) -> Sectorisation:
-    """Group items (e.g. cluster barycentres) by their sector labels."""
-    sectors = np.asarray(sectors)
-    return Sectorisation(beam_id, grid,
-                         [np.flatnonzero(sectors == q) for q in range(grid.n_sectors)])

@@ -93,20 +93,26 @@ def _require_positive(cfg: ScenarioConfig, names):
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"config field '{f.name}' must be finite, got {value!r}")
     _require_positive(
         cfg,
         (
             "carrier_frequency",
             "rx_antenna_diameter",
             "rx_antenna_efficiency",
+            "tx_aperture_efficiency",
             "satellite_total_power",
             "user_density",
             "noise_temperature",
             "user_bandwidth",
         ),
     )
-    if cfg.rx_antenna_efficiency > 1.0:
-        raise ValidationError("config field 'rx_antenna_efficiency' must lie in (0, 1]")
+    for name in ("rx_antenna_efficiency", "tx_aperture_efficiency"):
+        if getattr(cfg, name) > 1.0:
+            raise ValidationError(f"config field '{name}' must lie in (0, 1]")
     if cfg.antenna_losses < 0:
         raise ValidationError("config field 'antenna_losses' must be a non-negative dB value")
     if cfg.cluster_size < 1:
@@ -150,20 +156,23 @@ def config_from_mapping(data: dict) -> ScenarioConfig:
     if missing:
         raise ValidationError(f"missing config field(s): {sorted(missing)}")
     data = dict(data)
-    float_fields = (
-        "carrier_frequency", "rx_antenna_diameter", "rx_antenna_efficiency",
-        "antenna_losses", "satellite_longitude", "satellite_total_power",
-        "user_density", "noise_temperature", "user_bandwidth",
-        "tx_aperture_efficiency", "tx_power_per_beam",
-    )
-    for key in float_fields:
+    kinds = {
+        **dict.fromkeys((
+            "carrier_frequency", "rx_antenna_diameter", "rx_antenna_efficiency",
+            "antenna_losses", "satellite_longitude", "satellite_total_power",
+            "user_density", "noise_temperature", "user_bandwidth",
+            "tx_aperture_efficiency", "tx_power_per_beam",
+        ), float),
+        **dict.fromkeys(("sector_radii", "sector_angles"), lambda v: tuple(map(float, v))),
+        **dict.fromkeys(
+            ("cluster_size", "monte_carlo_iterations", "master_seed", "n_frames"), int),
+    }
+    for key, kind in kinds.items():
         if data.get(key) is not None:
             try:
-                data[key] = float(data[key])  # YAML 1.1 reads 19.5e9 as a string
-            except (TypeError, ValueError) as exc:
+                data[key] = kind(data[key])  # YAML 1.1 reads 19.5e9 as a string
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"config field '{key}' is not numeric: {exc}") from exc
-    for key in ("sector_radii", "sector_angles"):
-        data[key] = tuple(float(v) for v in data[key])
     # snap values meant to be exact bounds
     radii = data["sector_radii"]
     if radii and abs(radii[-1] - 1.0) < 1e-9:
@@ -171,10 +180,6 @@ def config_from_mapping(data: dict) -> ScenarioConfig:
     angles = data["sector_angles"]
     if angles and abs(angles[-1] - TAU) < 1e-9:
         data["sector_angles"] = angles[:-1] + (TAU,)
-    for key in ("cluster_size", "monte_carlo_iterations", "master_seed"):
-        data[key] = int(data[key])
-    if data.get("n_frames") is not None:
-        data["n_frames"] = int(data["n_frames"])
     try:
         cfg = ScenarioConfig(**data)
     except TypeError as exc:
@@ -377,6 +382,8 @@ class ModCodTable:
         e = np.asarray(self.efficiencies, dtype=float)
         if t.ndim != 1 or t.shape != e.shape or len(t) == 0:
             raise ValidationError("ModCod table must hold matching non-empty columns")
+        if not (np.isfinite(t).all() and np.isfinite(e).all()):
+            raise ValidationError("ModCod table entries must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValidationError("ModCod thresholds must be strictly ascending")
         if np.any(np.diff(e) <= 0) or np.any(e <= 0):

@@ -5,7 +5,7 @@ cluster indices and re-initialize the pool when it runs out, so beams with
 fewer clusters keep transmitting while the larger beams finish their sweep.
 The geographical scheduler runs one such sweep per scheduling sector
 (beam-center disc first, then the ring/wedge sectors in index order) using
-only the clusters whose barycentre lies in that sector.
+only the clusters whose sector label, from their barycentre, is that sector.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import BEAM_CENTER_SECTOR, Sectorisation
+from .geometry import BEAM_CENTER_SECTOR, SectorGrid
 
 NO_SECTOR = -1  # sector label used by the random scheduler
 
@@ -33,14 +33,14 @@ class ScheduleSequence:
         return len(self.sector)
 
 
-def random_schedule(partitions, n_frame=None, seed=0) -> ScheduleSequence:
+def random_schedule(n_clusters, n_frame=None, seed=0) -> ScheduleSequence:
     """Uniform cluster selection without replacement until each beam's sweep ends.
 
     A beam's pool shrinks by the drawn index while the frame counter is below
     its cluster count and is re-initialized afterwards, so a sequence of
     max_b N_K frames serves every cluster of the largest beam exactly once.
     """
-    n_k = np.array([p.n_clusters for p in partitions])
+    n_k = np.asarray(n_clusters)
     bound = int(n_k.max())
     if n_frame is None:
         n_frame = bound
@@ -65,43 +65,41 @@ def random_schedule(partitions, n_frame=None, seed=0) -> ScheduleSequence:
                             np.zeros(selection.shape, dtype=bool))
 
 
-def gsa_schedule(partitions, sectorisations: list[Sectorisation], seed=0) -> ScheduleSequence:
+def gsa_schedule(sector, n_clusters, grid: SectorGrid, seed=0) -> ScheduleSequence:
     """Geographical scheduling: serve each sector across all beams before moving on.
 
-    Sector q runs max_b |members_b(q)| frames so every cluster of the sector
-    is served at least once in every beam.  Within a sector, pools shrink by
-    the drawn cluster while more than one remains and re-initialize otherwise
-    (which may re-serve a cluster on the sector's last frame).  A beam with no
-    cluster in the sector borrows uniform draws from its nearest populated
-    sector (ring-adjacency first, then wedge) and is flagged as borrowed.
+    `sector` holds each cluster's sector label, beam b's n_clusters[b] after
+    those of the beams before it.  Sector q runs max_b |members_b(q)| frames
+    so every cluster of the sector is served at least once in every beam.
+    Within a sector, pools shrink by the drawn cluster while more than one
+    remains and re-initialize otherwise (which may re-serve a cluster on the
+    sector's last frame).  A beam with no cluster in the sector borrows
+    uniform draws from its nearest populated sector (ring-adjacency first,
+    then wedge) and is flagged as borrowed.
     """
-    if len(partitions) != len(sectorisations):
-        raise ValidationError("one sectorisation per beam is required")
-    grid = sectorisations[0].grid
-    for p, s in zip(partitions, sectorisations):
-        total = sum(len(m) for m in s.members)
-        if total != p.n_clusters:
-            raise ValidationError(
-                f"beam {p.beam_id}: sectorisation covers {total} clusters, "
-                f"expected {p.n_clusters}"
-            )
+    n_clusters = np.asarray(n_clusters)
+    if len(sector) != n_clusters.sum():
+        raise ValidationError(f"{len(sector)} sector labels for {n_clusters.sum()} clusters")
+    # by_sector[b][q]: beam b's clusters in sector q, ascending
+    by_sector = [[np.flatnonzero(labels == q) for q in range(grid.n_sectors)]
+                 for labels in np.split(sector, np.cumsum(n_clusters)[:-1])]
     rng = np.random.default_rng(seed)
-    beams = np.arange(len(partitions))
+    beams = np.arange(len(n_clusters))
     order = [BEAM_CENTER_SECTOR] + [q for q in range(grid.n_sectors) if q != BEAM_CENTER_SECTOR]
-    n_q = [max(len(s.members[q]) for s in sectorisations) for q in order]
-    sector = np.repeat(order, n_q)
-    selection = np.empty((len(sector), len(partitions)), dtype=int)
+    n_q = [max(len(s[q]) for s in by_sector) for q in order]
+    served = np.repeat(order, n_q)
+    selection = np.empty((len(served), len(n_clusters)), dtype=int)
     borrowed = np.empty(selection.shape, dtype=bool)
     bounds = np.cumsum(n_q)[:-1]
     for q, sel_q, borrowed_q in zip(order, np.split(selection, bounds), np.split(borrowed, bounds)):
         if not len(sel_q):
             continue
-        donors = [q if len(s.members[q]) else next(
-            q2 for q2 in grid.neighbor_order(q) if len(s.members[q2])
-        ) for s in sectorisations]
+        donors = [q if len(s[q]) else next(
+            q2 for q2 in grid.neighbor_order(q) if len(s[q2])
+        ) for s in by_sector]
         lent = np.array(donors) != q
         borrowed_q[:] = lent
-        members = [s.members[donor] for s, donor in zip(sectorisations, donors)]
+        members = [s[donor] for s, donor in zip(by_sector, donors)]
         full = np.array([len(m) for m in members])
         initial = np.zeros((len(members), full.max()), dtype=int)   # row b's first full[b]
         for row, m in zip(initial, members):
@@ -118,4 +116,4 @@ def gsa_schedule(partitions, sectorisations: list[Sectorisation], seed=0) -> Sch
             size[shrink] -= 1
             pools[refill] = initial[refill]
             size[refill] = full[refill]
-    return ScheduleSequence(selection, sector, borrowed)
+    return ScheduleSequence(selection, served, borrowed)

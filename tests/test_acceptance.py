@@ -21,11 +21,11 @@ from beamsim.precoding import (
     normalize_power,
     precoded_sinr,
 )
-from beamsim.scheduling import gsa_schedule, random_schedule
+from beamsim.scheduling import random_schedule
 
 from conftest import bundled_scenario
 from test_precoding import brute_force_sinr, explicit_inverse_oracle, random_complex
-from test_scheduling import partition_with, sectorisation_from_counts
+from test_scheduling import gsa, members, sectorisation_from_counts
 
 DENSITY = 2.5e-3
 ITERATIONS = 100
@@ -159,16 +159,14 @@ def test_c4_scheduler_suite():
     # random scheduler: the max-count beam is served exactly once per cluster
     for _ in range(20):
         counts = rng.integers(1, 9, size=5)
-        parts = [partition_with(int(c), beam_id=b) for b, c in enumerate(counts)]
-        seq = random_schedule(parts, seed=int(rng.integers(1 << 30)))
+        seq = random_schedule(counts, seed=int(rng.integers(1 << 30)))
         assert seq.n_frames == int(counts.max())
         b_max = int(np.argmax(counts))
         assert sorted(seq.selection[:, b_max].tolist()) == list(range(int(counts.max())))
 
     # hand-traced 2-beam random example: N_K = (2, 4), N_frame = 4
-    parts = [partition_with(2), partition_with(4)]
     for seed in range(10):
-        sel = random_schedule(parts, n_frame=4, seed=seed).selection
+        sel = random_schedule([2, 4], n_frame=4, seed=seed).selection
         assert sorted(sel[:2, 0].tolist()) == [0, 1]
         assert sorted(sel[:, 1].tolist()) == [0, 1, 2, 3]
 
@@ -176,30 +174,24 @@ def test_c4_scheduler_suite():
     grid = SectorGrid((0.2, 0.6, 0.8, 1.0), (math.pi / 2, math.pi, 2 * math.pi))
     counts_a = [1, 3] + [1] * (grid.n_sectors - 2)
     counts_b = [1] * grid.n_sectors
-    sect_a, n_a = sectorisation_from_counts(grid, 0, counts_a)
-    sect_b, n_b = sectorisation_from_counts(grid, 1, counts_b)
-    seq = gsa_schedule([partition_with(n_a), partition_with(n_b, 1)],
-                       [sect_a, sect_b], seed=4)
+    sect_a = sectorisation_from_counts(counts_a)
+    sect_b = sectorisation_from_counts(counts_b)
+    seq = gsa([sect_a, sect_b], grid, seed=4)
     sel_q1 = seq.selection[seq.sector == 1]
     assert len(sel_q1) == 3
-    assert sorted(sel_q1[:, 0]) == sect_a.members[1].tolist()
-    assert all(sel[1] == sect_b.members[1][0] for sel in sel_q1)
+    assert sorted(sel_q1[:, 0]) == members(sect_a, 1).tolist()
+    assert all(sel[1] == members(sect_b, 1)[0] for sel in sel_q1)
 
     # GSA invariants on random instances: homogeneity and the frame-count identity
     for trial in range(10):
-        sects = []
-        parts = []
-        for b in range(4):
-            counts = rng.integers(1, 5, size=grid.n_sectors).tolist()
-            s, n = sectorisation_from_counts(grid, b, counts)
-            sects.append(s)
-            parts.append(partition_with(n, beam_id=b))
-        seq = gsa_schedule(parts, sects, seed=trial)
-        expected = sum(max(len(s.members[q]) for s in sects) for q in range(grid.n_sectors))
+        sects = [sectorisation_from_counts(rng.integers(1, 5, size=grid.n_sectors))
+                 for _ in range(4)]
+        seq = gsa(sects, grid, seed=trial)
+        expected = sum(max(len(members(s, q)) for s in sects) for q in range(grid.n_sectors))
         assert seq.n_frames == expected
         for sel, sector in zip(seq.selection, seq.sector):
             for b in range(4):
-                assert sel[b] in sects[b].members[sector]
+                assert sel[b] in members(sects[b], sector)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     passline(4, "scheduler suite", elapsed,

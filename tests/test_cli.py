@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -101,16 +102,33 @@ def test_sectorize_geometry_error_exit_one(small_config, monkeypatch, capsys):
 def test_run_partial_failure_exit_one(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
-        "run", "--config", small_config, "--beams", hex7(), "--cluster-size", "2,1000",
+        "run", "--config", small_config, "--beams", hex7(), "--cluster-size", "2,2,1000",
         "--iterations", "1", "--no-traces", "--out", str(out),
     ])
     assert code == 1
     captured = capsys.readouterr()
     assert "K=2 rho=0.00025 random:" in captured.out
+    assert captured.out.count("K=2 rho=0.00025 random:") == 1
     assert "K=1000" not in captured.out
+    # the repeated K = 2 is one cell: the manifest, summary and failure count agree
     assert "1 of 2 cells failed (K=1000 rho=0.00025)" in captured.err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["sweep"] == [[2, 0.00025], [1000, 0.00025]]
+    summary = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:3] for line in summary] == [
+        ["2", "0.00025", "gsa"], ["2", "0.00025", "random"]]
     assert "K=1000" in (out / "diagnostics.txt").read_text()
     assert (out / "K2_rho0.00025" / "random" / "rates.csv").exists()
+
+
+def test_validate_infinite_density_exit_one(tmp_path, capsys):
+    # `user_density: .inf` used to end in an OverflowError traceback
+    path = tmp_path / "inf.yaml"
+    path.write_text(yaml.safe_dump(table_config(user_density=float("inf"))))
+    assert main(["validate", "--config", str(path), "--beams", hex7()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'user_density' must be finite")
+    assert "Traceback" not in err
 
 
 def test_cluster_dumps_partitions(capsys):
@@ -124,11 +142,9 @@ def test_cluster_dumps_partitions(capsys):
     dep = draw.deployment
     expected = [
         f"{beam.beam_id},{ci},{m},{dep.lat[m]:.6f},{dep.lon[m]:.6f}"
-        for beam, part, sel in zip(scenario.beams, state.partitions,
-                                   (np.flatnonzero(dep.beam_idx == b)
-                                    for b in range(scenario.n_beams)))
-        for ci, cluster in enumerate(part.clusters)
-        for m in sel[cluster]
+        for beam, first, n in zip(scenario.beams, state.first_cluster, state.n_clusters)
+        for ci, cluster in enumerate(state.clusters[first:first + n])
+        for m in cluster[cluster >= 0]
     ]
     assert lines == ["beam,cluster,user,lat,lon"] + expected
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from beamsim import geometry
 from beamsim.clustering import (
     TIE_RTOL,
-    ClusterPartition,
+    _check_partition,
     channel_features,
     cluster_means,
     max_dist_partition,
@@ -19,14 +19,15 @@ from beamsim.errors import ValidationError
 from conftest import bundled_scenario
 
 
-def as_sets(partition):
-    return [set(c.tolist()) for c in partition.clusters]
+def as_sets(table):
+    return [set(row[row >= 0].tolist()) for row in table]
 
 
 def reference_max_dist(features, cluster_size):
     """MaxDist pass by pass on the features themselves, with the library's tie rule.
 
-    Every pass copies the remaining pool and recomputes its barycentre and
+    Returns the clusters as rows of a table padded with -1.  Every pass
+    copies the remaining pool and recomputes its barycentre and
     all distances directly: O(N d) per pass, slow but plainly right.
     """
     feats = np.asarray(features, dtype=float)
@@ -48,11 +49,15 @@ def reference_max_dist(features, cluster_size):
         keep = np.ones(remaining.size, dtype=bool)
         keep[take] = False
         remaining = remaining[keep]
-    return clusters
+    table = np.full((len(clusters), cluster_size), -1)
+    for row, cluster in zip(table, clusters):
+        row[:len(cluster)] = cluster
+    return table
 
 
-def assert_same_partition(partition, expected):
-    assert [c.tolist() for c in partition.clusters] == [c.tolist() for c in expected]
+def assert_same_partition(table, expected):
+    assert table.shape == expected.shape
+    assert table.tolist() == expected.tolist()
 
 
 def assert_follows_max_dist(features, partition, cluster_size):
@@ -65,7 +70,8 @@ def assert_follows_max_dist(features, partition, cluster_size):
     """
     feats = np.asarray(features, dtype=float)
     remaining = np.arange(len(feats))
-    for cluster in partition.clusters:
+    for cluster in partition:
+        cluster = cluster[cluster >= 0]
         if remaining.size <= cluster_size:
             assert cluster.tolist() == remaining.tolist()
             remaining = remaining[:0]
@@ -103,15 +109,15 @@ def test_collinear_pairs():
 def test_unicast_singletons():
     feats = np.random.default_rng(0).normal(size=(5, 2))
     part = max_dist_partition(feats, 1)
-    assert part.n_clusters == 5
-    assert all(len(c) == 1 for c in part.clusters)
-    assert {int(c[0]) for c in part.clusters} == set(range(5))
+    assert part.shape == (5, 1)
+    assert (part >= 0).all()
+    assert set(part[:, 0].tolist()) == set(range(5))
 
 
 def test_cluster_size_exceeding_population():
     feats = np.random.default_rng(1).normal(size=(4, 3))
     part = max_dist_partition(feats, 9)
-    assert part.n_clusters == 1
+    assert part.shape == (1, 9)
     assert as_sets(part) == [{0, 1, 2, 3}]
 
 
@@ -129,7 +135,7 @@ def test_two_user_pool_lowest_index_first():
     for _ in range(2000):
         feats = rng.normal(size=(2, int(rng.integers(1, 5))))
         part = max_dist_partition(feats, 1)
-        assert [c.tolist() for c in part.clusters] == [[0], [1]]
+        assert part.tolist() == [[0], [1]]
 
 
 def test_regular_polygon_ties_go_to_lowest_index():
@@ -141,15 +147,16 @@ def test_regular_polygon_ties_go_to_lowest_index():
         feats = rng.uniform(-5.0, 5.0, size=2) + rng.uniform(0.1, 100.0) * np.column_stack(
             [np.cos(angles), np.sin(angles)]
         )
-        assert max_dist_partition(feats, 1).clusters[0].tolist() == [0]
+        assert max_dist_partition(feats, 1)[0].tolist() == [0]
 
 
 def test_last_cluster_smaller():
     feats = np.arange(7, dtype=float)[:, None]
     part = max_dist_partition(feats, 3)
-    assert part.n_clusters == math.ceil(7 / 3)
-    sizes = sorted(len(c) for c in part.clusters)
+    assert part.shape == (math.ceil(7 / 3), 3)
+    sizes = sorted(np.count_nonzero(part >= 0, axis=1).tolist())
     assert sizes == [1, 3, 3]
+    assert (part[:-1] >= 0).all()  # only the last row is padded
 
 
 def test_empty_input_rejected():
@@ -204,12 +211,13 @@ def test_partition_validity_random_instances():
         dim = int(rng.integers(1, 5))
         feats = rng.normal(size=(n, dim))
         part = max_dist_partition(feats, k)
-        assert part.n_clusters == math.ceil(n / k)
-        flat = np.concatenate(part.clusters)
+        assert part.shape == (math.ceil(n / k), k)
+        flat = part[part >= 0]
         assert len(flat) == n and len(np.unique(flat)) == n
-        sizes = [len(c) for c in part.clusters]
+        sizes = np.count_nonzero(part >= 0, axis=1)
         assert all(s == k for s in sizes[:-1])
         assert 1 <= sizes[-1] <= k
+        assert (part[-1, :sizes[-1]] >= 0).all()  # padding only at the end
 
 
 def test_clusters_are_compact_on_average():
@@ -225,7 +233,8 @@ def test_clusters_are_compact_on_average():
         for i in range(n):
             for j in range(i + 1, n):
                 d_all.append(np.linalg.norm(feats[i] - feats[j]))
-        for cluster in part.clusters:
+        for cluster in part:
+            cluster = cluster[cluster >= 0]
             for a in range(len(cluster)):
                 for b in range(a + 1, len(cluster)):
                     d_intra.append(np.linalg.norm(feats[cluster[a]] - feats[cluster[b]]))
@@ -265,7 +274,7 @@ def test_follows_max_dist_on_tied_grid_features(seed, n, k, dim, span, log_scale
     rng = np.random.default_rng(seed)
     feats = rng.integers(-span, span + 1, size=(n, dim)) * 10.0**log_scale
     part = max_dist_partition(feats, k)
-    assert part.n_clusters == math.ceil(n / k)
+    assert part.shape == (math.ceil(n / k), k)
     assert_follows_max_dist(feats, part, k)
 
 
@@ -285,7 +294,11 @@ def test_matches_reference_on_bundled_layouts(layout):
         for feats in (np.column_stack([x, y]), chan):
             for k in (1, 2, 4, 8):
                 assert_same_partition(max_dist_partition(feats, k), reference_max_dist(feats, k))
-        assert_same_partition(state.partitions[bi], reference_max_dist(chan, 8))
+        # the engine's table rows of the beam, as global user ids
+        expected = reference_max_dist(chan, 8)
+        assert state.n_clusters[bi] == len(expected)
+        rows = state.clusters[state.first_cluster[bi]:][:len(expected)]
+        assert_same_partition(rows, np.where(expected >= 0, sel[expected], -1))
 
 
 def test_determinism():
@@ -293,7 +306,7 @@ def test_determinism():
     feats = rng.normal(size=(23, 4))
     a = max_dist_partition(feats, 3)
     b = max_dist_partition(feats, 3)
-    assert all(np.array_equal(x, y) for x, y in zip(a.clusters, b.clusters))
+    assert np.array_equal(a, b)
 
 
 def test_barycentres():
@@ -313,5 +326,6 @@ def test_barycentres():
 
 
 def test_partition_validation_catches_overlap():
-    with pytest.raises(ValidationError):
-        ClusterPartition(1, [np.array([0, 1]), np.array([1, 2])], 4).validate()
+    _check_partition(np.array([[0, 1], [3, 2]]), 4, beam_id=1)
+    with pytest.raises(ValidationError, match="beam 1"):
+        _check_partition(np.array([[0, 1], [1, 2]]), 4, beam_id=1)

@@ -85,10 +85,11 @@ def test_gsa_frames_match_sector_bound(small_scenario):
     data = res.per_policy["gsa"]
     sched = data.traces["schedule.csv"]
     n_beams = small_scenario.n_beams
-    n_sectors = state.sectorisations[0].grid.n_sectors
-    # clusters of beam b in sector q, from the sectorisation the scheduler read
-    counts = np.array([[len(s.members[q]) for q in range(n_sectors)]
-                       for s in state.sectorisations])
+    n_sectors = small_scenario.config.sector_grid().n_sectors
+    # clusters of beam b in sector q, from the sector labels the scheduler read
+    beam = np.repeat(np.arange(n_beams), state.n_clusters)
+    counts = np.zeros((n_beams, n_sectors), dtype=int)
+    np.add.at(counts, (beam, state.sector), 1)
     # each populated sector runs exactly max_b |members_b(q)| frames
     for q in range(n_sectors):
         assert int((data.sectors == q).sum()) == counts[:, q].max()

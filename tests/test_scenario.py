@@ -88,6 +88,39 @@ def test_invalid_field_rejected(bad):
         config_from_mapping(table_config(**bad))
 
 
+NUMERIC_FIELDS = (
+    "carrier_frequency", "rx_antenna_diameter", "rx_antenna_efficiency", "antenna_losses",
+    "satellite_longitude", "satellite_total_power", "user_density", "noise_temperature",
+    "user_bandwidth", "tx_aperture_efficiency", "tx_power_per_beam", "cluster_size",
+    "monte_carlo_iterations", "master_seed", "n_frames",
+)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_non_finite_field_rejected_by_name(field, value):
+    # `satellite_longitude: .nan` used to validate, `user_density: .inf` to overflow
+    with pytest.raises(ValidationError, match=f"config field '{field}'"):
+        config_from_mapping(table_config(**{field: value}))
+
+
+@pytest.mark.parametrize("value", [-0.65, 0.0, 1.5])
+def test_tx_aperture_efficiency_outside_unit_interval_rejected(value):
+    # a negative efficiency used to validate and then fail the run with NaN features
+    with pytest.raises(ValidationError, match="config field 'tx_aperture_efficiency'"):
+        config_from_mapping(table_config(tx_aperture_efficiency=value))
+
+
+@pytest.mark.parametrize("field,values", [
+    ("sector_radii", [0.2, math.nan, 1.0]),
+    ("sector_angles", [math.pi, math.nan, TAU]),
+    ("sector_angles", [math.nan]),
+])
+def test_non_finite_sector_bounds_rejected_by_name(field, values):
+    with pytest.raises(ValidationError, match=field):
+        config_from_mapping(table_config(**{field: values}))
+
+
 def test_unknown_and_missing_fields_named():
     with pytest.raises(ValidationError, match="user_densty"):
         config_from_mapping(table_config(user_densty=1.0))
@@ -239,6 +272,16 @@ def test_modcod_bad_tables(tmp_path):
         ModCodTable(np.array([1.0, 0.5]), np.array([0.5, 1.0]))
     with pytest.raises(ValidationError, match="ascending"):
         ModCodTable(np.array([0.5, 1.0]), np.array([1.0, 0.5]))
+
+
+def test_modcod_non_finite_row_rejected(tmp_path):
+    # a NaN threshold passed the ascending checks and shifted every lookup above it
+    path = tmp_path / "nan.csv"
+    path.write_text("snr_db,spectral_efficiency\n-2,0.4\nnan,0.5\n1,0.6\n")
+    with pytest.raises(ValidationError, match="finite"):
+        load_modcod(path)
+    with pytest.raises(ValidationError, match="finite"):
+        ModCodTable(np.array([-2.0, 1.0, 5.0]), np.array([0.4, np.inf, 0.6]))
 
 
 def test_bundled_modcod_monotone():
