@@ -7,11 +7,7 @@ spectral-efficiency and precoding-loss metrics can be compared pairwise.
 
 __version__ = "0.1.0"
 
-from .channel import (
-    antenna_gain,
-    beam_rf_parameters,
-    channel_matrix,
-)
+from .channel import beam_rf_parameters, channel_matrix
 from .clustering import channel_features, max_dist_partition
 from .engine import RunManifest, run_experiment, run_iteration
 from .errors import GeometryError, ValidationError
@@ -34,7 +30,6 @@ from .scheduling import ScheduleSequence, gsa_schedule, random_schedule
 
 __all__ = [
     "__version__",
-    "antenna_gain",
     "beam_rf_parameters",
     "Beam",
     "channel_features",

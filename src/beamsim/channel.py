@@ -7,8 +7,7 @@ Each user sees one complex coefficient per transmitting antenna,
 
 with the receiver noise power P_Z = k T B folded in so downstream SINRs use
 unit noise.  G_bj is the multi-beam transmit gain toward the user, modelled
-with a tapered-aperture Bessel pattern (or a Gaussian main lobe for tests);
-theta is a random phase drawn once per Monte Carlo iteration, by default one
+with a tapered-aperture Bessel pattern; theta is a random phase drawn once per Monte Carlo iteration, by default one
 phase per transmitting antenna.
 """
 
@@ -72,23 +71,6 @@ def bessel_taper_gain(theta, theta_3db, g_max):
     rel = taper_bracket(u) ** 2
     rel = np.where(theta >= math.pi / 2.0, GAIN_FLOOR_REL, rel)
     return g_max * np.maximum(rel, GAIN_FLOOR_REL)
-
-
-def gaussian_gain(theta, theta_3db, g_max):
-    """Gaussian main lobe with the same half-power angle; no sidelobes."""
-    theta = np.asarray(theta, dtype=float)
-    rel = np.exp(-math.log(2.0) * (theta / theta_3db) ** 2)
-    rel = np.where(theta >= math.pi / 2.0, GAIN_FLOOR_REL, rel)
-    return g_max * np.maximum(rel, GAIN_FLOOR_REL)
-
-
-def antenna_gain(theta, theta_3db, g_max, pattern="bessel"):
-    """Linear transmit gain at off-axis angle theta (radians)."""
-    if pattern == "bessel":
-        return bessel_taper_gain(theta, theta_3db, g_max)
-    if pattern == "gaussian":
-        return gaussian_gain(theta, theta_3db, g_max)
-    raise ValidationError(f"unknown antenna pattern {pattern!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +148,7 @@ def channel_matrix(user_lat, user_lon, slant_m, user_beam_idx, rf: BeamRf,
     theta = np.arccos(cos_off)                                  # (n, N_B)
     gains = np.empty_like(theta)
     for j in range(rf.boresights.shape[0]):
-        gains[:, j] = antenna_gain(theta[:, j], rf.theta_3db[j], rf.g_max[j],
-                                   cfg.antenna_pattern)
+        gains[:, j] = bessel_taper_gain(theta[:, j], rf.theta_3db[j], rf.g_max[j])
     amp = (
         np.sqrt(cfg.rx_gain_linear * cfg.loss_linear * gains)
         * lam

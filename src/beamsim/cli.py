@@ -2,14 +2,15 @@
 
 Subcommands: run (Monte Carlo experiment), validate (check inputs only),
 sectorize (dump per-user sector assignments), cluster (dump the partitions
-run uses in iteration 0), report (re-aggregate a run directory's rate
-traces).  Exit codes: 0 on success, 1 on runtime failure (for run: when any
-cell failed), 2 on usage errors.
+run uses in iteration 0), report (print a run directory's summary and
+gains tables).  Exit codes: 0 on success, 1 on runtime failure (for run:
+when any cell failed), 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from dataclasses import replace
@@ -22,6 +23,7 @@ from .errors import GeometryError, ValidationError
 from .scenario import (
     Scenario,
     check_density_supports_clusters,
+    convert_field,
     load_beams,
     load_config,
     load_modcod,
@@ -54,17 +56,15 @@ def _load_scenario(args) -> Scenario:
 
 
 def _parse_sweep(args, cfg):
-    ks = (
-        [int(v) for v in str(args.cluster_size).split(",")]
-        if args.cluster_size is not None
-        else [cfg.cluster_size]
-    )
-    rhos = (
-        [float(v) for v in str(args.density).split(",")]
-        if args.density is not None
-        else [cfg.user_density]
-    )
-    return [(k, rho) for k in ks for rho in rhos]
+    """The (K, density) cells of `--cluster-size` x `--density`, each item
+    converted like its config field; an absent flag keeps the config's value."""
+    def values(text, name):
+        if text is None:
+            return [getattr(cfg, name)]
+        return [convert_field(name, v) for v in text.split(",")]
+
+    return [(k, rho) for k in values(args.cluster_size, "cluster_size")
+            for rho in values(args.density, "user_density")]
 
 
 def _policies(args):
@@ -149,38 +149,32 @@ def cmd_cluster(args) -> int:
     return 0
 
 
+def _read_table(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def cmd_report(args) -> int:
+    """Print a run directory's summary and gains tables."""
     out_dir = _resolve_out(args)
-    if not os.path.isdir(out_dir):
-        raise ValidationError(f"run directory {out_dir} does not exist")
-    rows = []
-    gains = {}
-    for root, _, files in sorted(os.walk(out_dir)):
-        if "rates.csv" not in files:
-            continue
-        policy = os.path.basename(root)
-        cell = os.path.basename(os.path.dirname(root))
-        try:
-            k = int(cell.split("_")[0][1:])
-            rho = float(cell.split("rho")[1])
-        except (IndexError, ValueError):
-            continue
-        rates = np.loadtxt(os.path.join(root, "rates.csv"), delimiter=",", skiprows=1,
-                           usecols=3, ndmin=1)
-        frames = np.loadtxt(os.path.join(root, "frames.csv"), delimiter=",", skiprows=1,
-                            usecols=3, ndmin=1)
-        eta = float(np.mean(rates))
-        loss = float(np.mean(frames))
-        rows.append((k, rho, policy, eta, loss, len(frames)))
-        gains.setdefault((k, rho), {})[policy] = eta
+    summary = os.path.join(out_dir, "summary.csv")
+    if not os.path.isfile(summary):
+        raise ValidationError(f"run directory {out_dir} has no summary.csv")
+    rows = sorted(
+        (int(r["cluster_size"]), float(r["density"]), r["policy"], float(r["eta_bar"]),
+         float(r["loss_frame_fraction"]), int(r["n_frames"]))
+        for r in _read_table(summary)
+    )
     if not rows:
-        raise ValidationError(f"no rate traces found under {out_dir}")
+        raise ValidationError(f"{summary} lists no completed cells")
     print("cluster_size,density,policy,eta_bar,loss_frame_fraction,n_frames")
-    for k, rho, policy, eta, loss, n in sorted(rows):
+    for k, rho, policy, eta, loss, n in rows:
         print(f"{k},{rho:g},{policy},{eta:.6f},{loss:.6f},{n}")
-    for (k, rho), etas in sorted(gains.items()):
-        if "gsa" in etas and "random" in etas:
-            print(f"# gain K={k} rho={rho:g}: {etas['gsa'] - etas['random']:+.6f} bit/s/Hz")
+    gains = os.path.join(out_dir, "gains.csv")
+    if os.path.isfile(gains):
+        for k, rho, gain in sorted((int(r["cluster_size"]), float(r["density"]), float(r["gain"]))
+                                   for r in _read_table(gains)):
+            print(f"# gain K={k} rho={rho:g}: {gain:+.6f} bit/s/Hz")
     return 0
 
 
@@ -225,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("report", help="re-aggregate rate traces from a run directory")
+    p = sub.add_parser("report", help="print a run directory's summary and gains")
     p.add_argument("--out", help="run directory (or $BEAMSIM_OUT)")
     p.set_defaults(func=cmd_report)
 

@@ -233,8 +233,7 @@ def _evaluate_policy(scenario, policy, state, iteration, alpha, p_tx, collect_tr
     cfg = scenario.config
     if policy == "random":
         seq = scheduling.random_schedule(
-            state.n_clusters, cfg.n_frames,
-            iteration_seed(cfg.master_seed, iteration, _SEED_RANDOM),
+            state.n_clusters, iteration_seed(cfg.master_seed, iteration, _SEED_RANDOM),
         )
     elif policy == "gsa":
         seq = scheduling.gsa_schedule(

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+import operator
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ SIMILARITY_METRICS = ("euclidean", "channel")
 NORMALIZATION_MODES = ("sum-power", "per-antenna", "none")
 REGULARIZATION_MODES = ("paper", "normalized")
 PHASE_MODES = ("per-antenna", "per-beam")
-ANTENNA_PATTERNS = ("bessel", "gaussian")
 
 
 def round_half_up(x: float) -> int:
@@ -55,10 +55,7 @@ class ScenarioConfig:
     normalization_mode: str = "sum-power"
     regularization_mode: str = "paper"      # paper: alpha = P_Z/P_TX; normalized: 1/P_TX
     phase_mode: str = "per-antenna"         # per-antenna | per-beam random phase
-    antenna_pattern: str = "bessel"         # bessel | gaussian
     tx_aperture_efficiency: float = 0.65    # used when deriving boresight gain
-    tx_power_per_beam: float | None = None  # W; default satellite_total_power / N_B
-    n_frames: int | None = None             # random scheduler frames; default max_b N_K
 
     @property
     def wavelength(self) -> float:
@@ -80,8 +77,7 @@ class ScenarioConfig:
         return geometry.SectorGrid(tuple(self.sector_radii), tuple(self.sector_angles))
 
     def tx_power(self, n_beams: int) -> float:
-        if self.tx_power_per_beam is not None:
-            return self.tx_power_per_beam
+        """Per-beam transmit power P_TX = P_tot / N_B."""
         return self.satellite_total_power / n_beams
 
 
@@ -132,12 +128,34 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ValidationError(f"config field 'regularization_mode' must be one of {REGULARIZATION_MODES}")
     if cfg.phase_mode not in PHASE_MODES:
         raise ValidationError(f"config field 'phase_mode' must be one of {PHASE_MODES}")
-    if cfg.antenna_pattern not in ANTENNA_PATTERNS:
-        raise ValidationError(f"config field 'antenna_pattern' must be one of {ANTENNA_PATTERNS}")
-    if cfg.tx_power_per_beam is not None and not cfg.tx_power_per_beam > 0:
-        raise ValidationError("config field 'tx_power_per_beam' must be positive when given")
     cfg.sector_grid()  # raises ValidationError on bad radii/angles
     return cfg
+
+
+def _integer(value):
+    """An int, or a string holding one; a float or a bool is refused, not truncated."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an integer")
+    return int(value) if isinstance(value, str) else operator.index(value)
+
+
+# declared field type -> (converter, what the value must be)
+_CONVERTERS = {
+    "float": (float, "a number"),       # YAML 1.1 reads 19.5e9 as a string
+    "int": (_integer, "an integer"),
+    "str": (lambda v: v, "a string"),   # validate_config checks the allowed values
+    "tuple": (lambda v: tuple(map(float, v)), "a list of numbers"),
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
+
+
+def convert_field(name: str, value):
+    """`value` converted to the declared type of config field `name`."""
+    convert, wanted = _CONVERTERS[_FIELD_TYPES[name]]
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"config field '{name}' must be {wanted}, got {value!r}") from exc
 
 
 def config_from_mapping(data: dict) -> ScenarioConfig:
@@ -155,24 +173,7 @@ def config_from_mapping(data: dict) -> ScenarioConfig:
     missing = [name for name in required if name not in data]
     if missing:
         raise ValidationError(f"missing config field(s): {sorted(missing)}")
-    data = dict(data)
-    kinds = {
-        **dict.fromkeys((
-            "carrier_frequency", "rx_antenna_diameter", "rx_antenna_efficiency",
-            "antenna_losses", "satellite_longitude", "satellite_total_power",
-            "user_density", "noise_temperature", "user_bandwidth",
-            "tx_aperture_efficiency", "tx_power_per_beam",
-        ), float),
-        **dict.fromkeys(("sector_radii", "sector_angles"), lambda v: tuple(map(float, v))),
-        **dict.fromkeys(
-            ("cluster_size", "monte_carlo_iterations", "master_seed", "n_frames"), int),
-    }
-    for key, kind in kinds.items():
-        if data.get(key) is not None:
-            try:
-                data[key] = kind(data[key])  # YAML 1.1 reads 19.5e9 as a string
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"config field '{key}' is not numeric: {exc}") from exc
+    data = {key: convert_field(key, value) for key, value in data.items()}
     # snap values meant to be exact bounds
     radii = data["sector_radii"]
     if radii and abs(radii[-1] - 1.0) < 1e-9:
@@ -180,11 +181,7 @@ def config_from_mapping(data: dict) -> ScenarioConfig:
     angles = data["sector_angles"]
     if angles and abs(angles[-1] - TAU) < 1e-9:
         data["sector_angles"] = angles[:-1] + (TAU,)
-    try:
-        cfg = ScenarioConfig(**data)
-    except TypeError as exc:
-        raise ValidationError(f"bad scenario config: {exc}") from exc
-    return validate_config(cfg)
+    return validate_config(ScenarioConfig(**data))
 
 
 def load_config(source) -> ScenarioConfig:
@@ -219,6 +216,10 @@ class Beam:
     boundary_xy: np.ndarray         # (n, 2) km, tangent plane about the center
     g_max_db: float | None = None   # optional per-beam boresight gain override
     theta_3db_deg: float | None = None  # optional per-beam half-power angle override
+
+    def user_count(self, density: float) -> int:
+        """Users deployed in the beam at `density` users/km^2: round(density * area)."""
+        return round_half_up(density * self.area_km2)
 
 
 def make_beam(
@@ -330,7 +331,7 @@ def deploy_users(beams, density, seed, satellite_ecef_km) -> list[UserTerminal]:
     user_id = 0
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
     for beam in beams:
-        n = round_half_up(density * beam.area_km2)
+        n = beam.user_count(density)
         if n < 1:
             raise ValidationError(
                 f"beam {beam.beam_id}: density {density} users/km^2 over "
@@ -447,11 +448,14 @@ class Scenario:
 
 
 def check_density_supports_clusters(scenario: Scenario, cluster_size=None, density=None):
-    """Every beam must round to at least `cluster_size` users."""
-    k = cluster_size if cluster_size is not None else scenario.config.cluster_size
-    rho = density if density is not None else scenario.config.user_density
+    """The config must validate with this cluster size and density, and every
+    beam must round to at least `cluster_size` users."""
+    cfg = scenario.config
+    k = cfg.cluster_size if cluster_size is None else cluster_size
+    rho = cfg.user_density if density is None else density
+    validate_config(replace(cfg, cluster_size=k, user_density=rho))
     for beam in scenario.beams:
-        n = round_half_up(rho * beam.area_km2)
+        n = beam.user_count(rho)
         if n < k:
             raise ValidationError(
                 f"beam {beam.beam_id}: {n} users at density {rho} users/km^2 is fewer "

@@ -33,26 +33,21 @@ class ScheduleSequence:
         return len(self.sector)
 
 
-def random_schedule(n_clusters, n_frame=None, seed=0) -> ScheduleSequence:
+def random_schedule(n_clusters, seed=0) -> ScheduleSequence:
     """Uniform cluster selection without replacement until each beam's sweep ends.
 
-    A beam's pool shrinks by the drawn index while the frame counter is below
-    its cluster count and is re-initialized afterwards, so a sequence of
-    max_b N_K frames serves every cluster of the largest beam exactly once.
+    The sequence runs max_b N_K frames.  A beam's pool shrinks by the drawn
+    index while the frame counter is below its cluster count and is
+    re-initialized afterwards, so every cluster of the largest beam is
+    served exactly once.
     """
     n_k = np.asarray(n_clusters)
     bound = int(n_k.max())
-    if n_frame is None:
-        n_frame = bound
-    if n_frame < bound:
-        raise ValidationError(
-            f"n_frame={n_frame} is below the required max cluster count {bound}"
-        )
     rng = np.random.default_rng(seed)
     beams = np.arange(len(n_k))
     pools = np.tile(np.arange(bound), (len(n_k), 1))   # beam b's pool: row b's first size[b]
     size = n_k.copy()
-    selection = np.empty((n_frame, len(n_k)), dtype=int)
+    selection = np.empty((bound, len(n_k)), dtype=int)
     for n, sel in enumerate(selection, start=1):
         j = rng.integers(0, size)
         sel[:] = pools[beams, j]
@@ -61,7 +56,7 @@ def random_schedule(n_clusters, n_frame=None, seed=0) -> ScheduleSequence:
         pools[rows, j[shrink]] = pools[rows, size[shrink] - 1]
         pools[~shrink] = np.arange(bound)
         size = np.where(shrink, size - 1, n_k)
-    return ScheduleSequence(selection, np.full(n_frame, NO_SECTOR),
+    return ScheduleSequence(selection, np.full(bound, NO_SECTOR),
                             np.zeros(selection.shape, dtype=bool))
 
 

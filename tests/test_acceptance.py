@@ -166,7 +166,7 @@ def test_c4_scheduler_suite():
 
     # hand-traced 2-beam random example: N_K = (2, 4), N_frame = 4
     for seed in range(10):
-        sel = random_schedule([2, 4], n_frame=4, seed=seed).selection
+        sel = random_schedule([2, 4], seed=seed).selection
         assert sorted(sel[:2, 0].tolist()) == [0, 1]
         assert sorted(sel[:, 1].tolist()) == [0, 1, 2, 3]
 

@@ -9,16 +9,13 @@ from beamsim import geometry
 from beamsim.channel import (
     GAIN_FLOOR_REL,
     _SERIES_MAX_U,
-    antenna_gain,
     beam_rf_parameters,
     bessel_taper_gain,
     channel_matrix,
     draw_phases,
-    gaussian_gain,
     taper_bracket,
 )
 from beamsim.engine import build_iteration, draw_iteration
-from beamsim.errors import ValidationError
 from beamsim.scenario import config_from_mapping
 
 from test_scenario import table_config
@@ -36,7 +33,7 @@ def cfg():
 # ---------------------------------------------------------------------------
 
 def test_boresight_gain_is_peak():
-    g = antenna_gain(0.0, math.radians(0.3), 1e5)
+    g = bessel_taper_gain(0.0, math.radians(0.3), 1e5)
     assert g == pytest.approx(1e5, rel=1e-9)
 
 
@@ -46,13 +43,13 @@ def test_half_power_at_theta_3db():
     u = 2.07123
     bracket = j1(u) / (2 * u) + 36.0 * jv(3, u) / u**3
     assert bracket**2 == pytest.approx(0.5, rel=1e-2)
-    g = antenna_gain(t3, t3, 1.0)
+    g = bessel_taper_gain(t3, t3, 1.0)
     assert g == pytest.approx(0.5, rel=1e-2)
 
 
 def test_sidelobes_below_minus_20db():
     t3 = math.radians(0.3)
-    g = antenna_gain(3.0 * t3, t3, 1.0)
+    g = bessel_taper_gain(3.0 * t3, t3, 1.0)
     assert 10.0 * math.log10(g) < -20.0
     # independent evaluation of the same expression
     u = 2.07123 * math.sin(3 * t3) / math.sin(t3)
@@ -112,16 +109,8 @@ def test_gain_matches_jv_oracle():
 
 def test_beyond_horizon_clamped_to_floor():
     t3 = math.radians(0.3)
-    assert antenna_gain(math.pi / 2, t3, 1.0) == pytest.approx(GAIN_FLOOR_REL)
-    assert antenna_gain(2.0, t3, 1.0) == pytest.approx(GAIN_FLOOR_REL)
-
-
-def test_gaussian_alternative():
-    t3 = math.radians(0.3)
-    assert gaussian_gain(0.0, t3, 2.0) == pytest.approx(2.0)
-    assert gaussian_gain(t3, t3, 2.0) == pytest.approx(1.0, rel=1e-12)
-    with pytest.raises(ValidationError):
-        antenna_gain(0.1, t3, 1.0, pattern="cosine")
+    assert bessel_taper_gain(math.pi / 2, t3, 1.0) == pytest.approx(GAIN_FLOOR_REL)
+    assert bessel_taper_gain(2.0, t3, 1.0) == pytest.approx(GAIN_FLOOR_REL)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import shutil
 from collections import Counter
 
 import numpy as np
@@ -218,21 +219,53 @@ def test_seed_outside_32_bits_rejected(command, seed, small_config, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--cluster-size", "2,2.5", "cluster_size"),
+    ("--cluster-size", "two", "cluster_size"),
+    ("--density", "2.5e-4,dense", "user_density"),
+])
+def test_unconvertible_sweep_value_exit_one(flag, value, field, small_config, tmp_path, capsys):
+    # `--cluster-size 2.5` used to end in a ValueError traceback from int()
+    out = tmp_path / "out"
+    assert main(["run", "--config", small_config, "--beams", hex7(), flag, value,
+                 "--iterations", "1", "--no-traces", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{field}' must be a")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_report_reaggregates(small_config, tmp_path, capsys):
+    # report prints the run's own summary and gains tables, sorted by cell
     out = tmp_path / "out"
     main([
         "run", "--config", small_config, "--beams", hex7(), "--out", str(out),
-        "--iterations", "2",
+        "--cluster-size", "4,2", "--iterations", "2", "--no-traces",
     ])
     capsys.readouterr()
     assert main(["report", "--out", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "cluster_size,density,policy,eta_bar" in text
-    assert "gain" in text
+    text = capsys.readouterr().out.splitlines()
+    assert text[0] == "cluster_size,density,policy,eta_bar,loss_frame_fraction,n_frames"
+    summary = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    expected = sorted((int(k), float(rho), policy, float(eta), float(loss), int(n))
+                      for k, rho, policy, eta, loss, n, _ in summary)
+    assert text[1:5] == [f"{k},{rho:g},{policy},{eta:.6f},{loss:.6f},{n}"
+                         for k, rho, policy, eta, loss, n in expected]
+    gains = [line.split(",") for line in (out / "gains.csv").read_text().splitlines()[1:]]
+    assert text[5:] == [f"# gain K={k} rho={float(rho):g}: {float(g):+.6f} bit/s/Hz"
+                        for k, rho, g in sorted(gains, key=lambda r: int(r[0]))]
+    # the tables are all it reads: the per-cell traces can go
+    for cell in out.glob("K*"):
+        shutil.rmtree(cell)
+    assert main(["report", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == text
 
 
-def test_report_missing_dir(capsys):
+def test_report_missing_dir(tmp_path, capsys):
     assert main(["report", "--out", "/nonexistent/run"]) == 1
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: run directory {tmp_path} has no summary.csv")
 
 
 def test_broken_pipe_exits_quietly(small_config, monkeypatch, capsys):

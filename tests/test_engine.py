@@ -202,6 +202,19 @@ def test_failing_cell_recorded_not_fatal(small_scenario, tmp_path):
     assert "K=500" in diag
 
 
+def test_out_of_range_cluster_size_is_a_cell_diagnostic(small_scenario, tmp_path):
+    # the sweep's K is held to the config's rule for cluster_size; K = -1 used to
+    # raise a bare ValueError from np.full and abort the run
+    out = tmp_path / "sweep"
+    reports, _ = engine.run_experiment(
+        small_scenario, sweep=[(-1, 2.5e-4), (2, 2.5e-4)], out_dir=str(out), iterations=1,
+    )
+    assert list(reports) == [(2, 2.5e-4)]
+    assert (out / "diagnostics.txt").read_text() == (
+        "K=-1 rho=0.00025: config field 'cluster_size' must be >= 1\n")
+    assert not (out / "K-1_rho0.00025").exists()
+
+
 def test_nan_frame_is_a_cell_diagnostic(small_scenario, tmp_path, monkeypatch):
     precoded_sinr = precoding.precoded_sinr
 

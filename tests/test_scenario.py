@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from beamsim import geometry
 from beamsim.errors import ValidationError
 from beamsim.scenario import (
     ModCodTable,
+    ScenarioConfig,
     beams_from_records,
     check_density_supports_clusters,
     config_from_mapping,
@@ -88,12 +90,8 @@ def test_invalid_field_rejected(bad):
         config_from_mapping(table_config(**bad))
 
 
-NUMERIC_FIELDS = (
-    "carrier_frequency", "rx_antenna_diameter", "rx_antenna_efficiency", "antenna_losses",
-    "satellite_longitude", "satellite_total_power", "user_density", "noise_temperature",
-    "user_bandwidth", "tx_aperture_efficiency", "tx_power_per_beam", "cluster_size",
-    "monte_carlo_iterations", "master_seed", "n_frames",
-)
+NUMERIC_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type in ("float", "int")]
+INTEGER_FIELDS = [f.name for f in fields(ScenarioConfig) if f.type == "int"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -101,6 +99,38 @@ NUMERIC_FIELDS = (
 def test_non_finite_field_rejected_by_name(field, value):
     # `satellite_longitude: .nan` used to validate, `user_density: .inf` to overflow
     with pytest.raises(ValidationError, match=f"config field '{field}'"):
+        config_from_mapping(table_config(**{field: value}))
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(ScenarioConfig)])
+def test_null_field_rejected_by_name(field):
+    # a null `satellite_longitude` used to validate and then fail every cell
+    with pytest.raises(ValidationError, match=f"config field '{field}'"):
+        config_from_mapping(table_config(**{field: None}))
+
+
+@pytest.mark.parametrize("value", [2.5, 1.9, True, "2.5"], ids=["2.5", "1.9", "true", "'2.5'"])
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_non_integer_rejected_by_name(field, value):
+    # `cluster_size: 2.5` used to run K = 2, `master_seed: true` seed 1
+    with pytest.raises(ValidationError, match=f"config field '{field}' must be an integer"):
+        config_from_mapping(table_config(**{field: value}))
+
+
+def test_integer_fields_accept_integers_and_integer_strings():
+    cfg = config_from_mapping(table_config(cluster_size="4", monte_carlo_iterations=3,
+                                           master_seed=np.int64(11)))
+    assert (cfg.cluster_size, cfg.monte_carlo_iterations, cfg.master_seed) == (4, 3, 11)
+    assert type(cfg.master_seed) is int
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_frames", 30), ("tx_power_per_beam", 5.0), ("antenna_pattern", "bessel"),
+])
+def test_removed_fields_rejected_as_unknown(field, value):
+    # the random scheduler always runs max_b N_K frames, P_TX is P_tot / N_B and the
+    # transmit pattern is the tapered-aperture one
+    with pytest.raises(ValidationError, match=rf"unknown config field\(s\): \['{field}'\]"):
         config_from_mapping(table_config(**{field: value}))
 
 
@@ -320,3 +350,8 @@ def test_check_density_override(scenario7):
     check_density_supports_clusters(scenario7, cluster_size=8, density=2.5e-3)
     with pytest.raises(ValidationError):
         check_density_supports_clusters(scenario7, cluster_size=80, density=2.5e-4)
+    # the cell's K and density follow the config's own field rules
+    with pytest.raises(ValidationError, match="config field 'cluster_size' must be >= 1"):
+        check_density_supports_clusters(scenario7, cluster_size=0, density=2.5e-3)
+    with pytest.raises(ValidationError, match="config field 'user_density' must be finite"):
+        check_density_supports_clusters(scenario7, cluster_size=2, density=math.inf)

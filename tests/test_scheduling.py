@@ -36,9 +36,10 @@ def gsa(labels, grid, seed):
 # ---------------------------------------------------------------------------
 
 def test_single_cluster_always_selected():
-    seq = random_schedule([1, 1, 1], n_frame=5, seed=0)
+    # the 5-cluster beam sets 5 frames; the 1-cluster beams re-serve their cluster
+    seq = random_schedule([1, 1, 5], seed=0)
     assert seq.n_frames == 5
-    assert (seq.selection == 0).all()
+    assert (seq.selection[:, :2] == 0).all()
 
 
 def test_full_permutation_when_frames_equal_clusters():
@@ -54,16 +55,11 @@ def test_unequal_beams_reinitialize():
     # hand-traced: beam 0 (2 clusters) serves {0,1} in frames 1-2, then draws
     # from the re-initialized full pool; beam 1 (4 clusters) is a permutation
     for seed in range(20):
-        seq = random_schedule([2, 4], n_frame=4, seed=seed)
+        seq = random_schedule([2, 4], seed=seed)
         sel = seq.selection
         assert sorted(sel[:2, 0].tolist()) == [0, 1]
         assert set(sel[2:, 0].tolist()) <= {0, 1}
         assert sorted(sel[:, 1].tolist()) == [0, 1, 2, 3]
-
-
-def test_frame_bound_enforced():
-    with pytest.raises(ValidationError):
-        random_schedule([4], n_frame=3, seed=0)
 
 
 def test_max_beam_served_exactly_once():
@@ -81,7 +77,7 @@ def test_max_beam_served_exactly_once():
 def test_no_repetition_within_epoch():
     rng = np.random.default_rng(22)
     counts = [5, 3, 7]
-    seq = random_schedule(counts, n_frame=7, seed=3)
+    seq = random_schedule(counts, seed=3)
     sel = seq.selection
     for b, c in enumerate(counts):
         epoch = sel[:c, b].tolist()
@@ -89,8 +85,9 @@ def test_no_repetition_within_epoch():
 
 
 def test_random_schedule_deterministic():
-    a = random_schedule([4, 2], n_frame=6, seed=99)
-    b = random_schedule([4, 2], n_frame=6, seed=99)
+    a = random_schedule([4, 2, 6], seed=99)
+    b = random_schedule([4, 2, 6], seed=99)
+    assert a.n_frames == 6
     assert np.array_equal(a.selection, b.selection)
     assert (a.sector == NO_SECTOR).all()
 
@@ -270,11 +267,11 @@ def test_gsa_schedule_coverage(counts, seed):
 # the array schedulers against one scalar draw per beam and frame
 # ---------------------------------------------------------------------------
 
-def loop_random_selection(n_k, n_frame, seed):
+def loop_random_selection(n_k, seed):
     """`random_schedule`'s rule with one scalar draw per beam and frame."""
     rng = np.random.default_rng(seed)
     pools = [list(range(k)) for k in n_k]
-    selection = np.empty((n_frame, len(n_k)), dtype=int)
+    selection = np.empty((max(n_k), len(n_k)), dtype=int)
     for n, sel in enumerate(selection, start=1):
         for b, pool in enumerate(pools):
             j = int(rng.integers(len(pool)))
@@ -323,9 +320,10 @@ def test_schedules_match_scalar_draws(counts, extra, seed):
         labels = np.empty(sum(c), dtype=int)
         labels[rng.permutation(sum(c))] = sectorisation_from_counts(c)
         sects.append(labels)
+    # a further beam, `extra` clusters above the others, runs them past their sweeps
     n_k = [sum(c) for c in counts]
-    n_frame = max(n_k) + extra
-    assert np.array_equal(random_schedule(n_k, n_frame, seed).selection,
-                          loop_random_selection(n_k, n_frame, seed))
+    n_k.append(max(n_k) + extra)
+    assert np.array_equal(random_schedule(n_k, seed).selection,
+                          loop_random_selection(n_k, seed))
     assert np.array_equal(gsa(sects, grid, seed).selection,
                           loop_gsa_selection(sects, grid, seed))
