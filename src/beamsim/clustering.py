@@ -93,6 +93,9 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> np.ndar
             bary += far
             top = bary.max()
             ref = int(np.argmax(bary >= top - TIE_RTOL * abs(top + total / (m * m))))
+            if m == 2:
+                # two users always tie, however far from them the table is centred
+                ref = int(np.argmax(far > -np.inf))
             if k == 1:
                 table[n - m, 0] = ids[ref]
                 total += gram[ref, ref] - 2.0 * row_sum[ref]

@@ -23,6 +23,19 @@ def as_sets(table):
     return [set(row[row >= 0].tolist()) for row in table]
 
 
+def barycentre_distances(pool):
+    """Squared distance of each row of `pool` from the rows' barycentre.
+
+    The rows are first shifted to the first one, which leaves the distances
+    as they are but scales their rounding to the pool's spread rather than
+    to its offset: two users are then exactly equidistant from their
+    barycentre, as MaxDist's tie rule has them, even far from the origin.
+    """
+    shifted = pool - pool[0]
+    centred = shifted - shifted.mean(axis=0)
+    return np.einsum("ij,ij->i", centred, centred)
+
+
 def reference_max_dist(features, cluster_size):
     """MaxDist pass by pass on the features themselves, with the library's tie rule.
 
@@ -37,8 +50,7 @@ def reference_max_dist(features, cluster_size):
     clusters = []
     while remaining.size:
         pool = feats[remaining]
-        centred = pool - pool.mean(axis=0)
-        bary = np.einsum("ij,ij->i", centred, centred)
+        bary = barycentre_distances(pool)
         top = bary.max()
         ref = int(np.argmax(bary >= top - TIE_RTOL * abs(top)))
         diff = pool - pool[ref]
@@ -78,8 +90,7 @@ def assert_follows_max_dist(features, partition, cluster_size):
             continue
         assert len(cluster) == cluster_size
         pool = feats[remaining]
-        centred = pool - pool.mean(axis=0)
-        bary = np.einsum("ij,ij->i", centred, centred)
+        bary = barycentre_distances(pool)
         top = bary.max()
         ref = remaining[np.argmax(bary >= top - TIE_RTOL * top)]
         if (pool == pool[0]).all():
@@ -136,6 +147,17 @@ def test_two_user_pool_lowest_index_first():
         feats = rng.normal(size=(2, int(rng.integers(1, 5))))
         part = max_dist_partition(feats, 1)
         assert part.tolist() == [[0], [1]]
+
+
+def test_tight_last_pair_lowest_index_first():
+    # a far user is taken first; the tight pair left over still ties, though
+    # the distance table is centred on the barycentre of all three
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        dim = int(rng.integers(1, 5))
+        pair = rng.uniform(100.0, 1000.0, size=dim) + rng.normal(scale=1e-4, size=(2, dim))
+        feats = np.vstack([np.zeros((1, dim)), pair])
+        assert max_dist_partition(feats, 1).tolist() == [[0], [1], [2]]
 
 
 def test_regular_polygon_ties_go_to_lowest_index():
