@@ -135,7 +135,9 @@ def channel_matrix(user_lat, user_lon, slant_m, user_beam_idx, rf: BeamRf,
     """(n_users, N_B) complex channel matrix for fixed users.
 
     `user_beam_idx` holds each user's serving-beam index (0-based) and is only
-    consulted in the literal per-beam phase mode.
+    consulted in the literal per-beam phase mode.  One (n_users, N_B) float
+    buffer carries cos -> angle -> gain -> amplitude, and the phase rotation
+    is applied to `h` in place, so at most that buffer sits beside the result.
     """
     if not (cfg.rx_gain_linear > 0 and cfg.loss_linear > 0 and cfg.noise_power_w > 0):
         raise ValidationError("receive gain, losses, and noise power must be positive")
@@ -144,20 +146,19 @@ def channel_matrix(user_lat, user_lon, slant_m, user_beam_idx, rf: BeamRf,
     d = np.asarray(slant_m, dtype=float)
     users = geometry.geodetic_to_ecef_km(user_lat, user_lon) - sat
     users = users / np.linalg.norm(users, axis=-1, keepdims=True)
-    cos_off = np.clip(users @ rf.boresights.T, -1.0, 1.0)
-    theta = np.arccos(cos_off)                                  # (n, N_B)
-    gains = np.empty_like(theta)
+    amp = users @ rf.boresights.T                               # (n, N_B) cos of off-axis angle
+    np.clip(amp, -1.0, 1.0, out=amp)
+    np.arccos(amp, out=amp)                                     # off-axis angle
     for j in range(rf.boresights.shape[0]):
-        gains[:, j] = bessel_taper_gain(theta[:, j], rf.theta_3db[j], rf.g_max[j])
-    amp = (
-        np.sqrt(cfg.rx_gain_linear * cfg.loss_linear * gains)
-        * lam
-        / (4.0 * math.pi * d[:, None] * math.sqrt(cfg.noise_power_w))
-    )
+        amp[:, j] = bessel_taper_gain(amp[:, j], rf.theta_3db[j], rf.g_max[j])
+    amp *= cfg.rx_gain_linear * cfg.loss_linear
+    np.sqrt(amp, out=amp)
+    amp *= lam
+    amp /= 4.0 * math.pi * d[:, None] * math.sqrt(cfg.noise_power_w)
     h = amp * np.exp(-1j * (2.0 * math.pi / lam) * d)[:, None]
     phases = np.asarray(phases, dtype=float)
     if cfg.phase_mode == "per-antenna":
-        h = h * np.exp(-1j * phases)[None, :]
+        h *= np.exp(-1j * phases)[None, :]
     else:  # literal per-receiving-beam reading
-        h = h * np.exp(-1j * phases[np.asarray(user_beam_idx, dtype=int)])[:, None]
+        h *= np.exp(-1j * phases[np.asarray(user_beam_idx, dtype=int)])[:, None]
     return h

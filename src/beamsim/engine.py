@@ -140,10 +140,11 @@ def draw_iteration(scenario: Scenario, density: float, iteration: int) -> Iterat
     return IterationDraw(
         deployment=dep,
         h=h,
+        # hashed from the arrays' own buffers, without a bytes copy
         deployment_hash=hashlib.sha256(
-            np.ascontiguousarray(np.column_stack([dep.lat, dep.lon, dep.slant])).tobytes()
+            np.column_stack([dep.lat, dep.lon, dep.slant]).data
         ).hexdigest(),
-        channel_hash=hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest(),
+        channel_hash=hashlib.sha256(np.ascontiguousarray(h).data).hexdigest(),
         nonprec=precoding.nonprecoded_sinr(h, dep.beam_idx, cfg.tx_power(len(scenario.beams))),
     )
 
@@ -203,7 +204,12 @@ def run_iteration(scenario: Scenario, cluster_sizes, density: float, policies, i
         draw = draw_iteration(scenario, density, iteration)
     except _CELL_ERRORS as exc:
         return dict.fromkeys(cluster_sizes, exc)
-    mapped = (draw.deployment, 20.0 * np.log10(np.abs(draw.h))) if channel_map else None
+    mapped = None
+    if channel_map:
+        magnitude_db = np.abs(draw.h)       # 20 log10 |h| in this one buffer
+        np.log10(magnitude_db, out=magnitude_db)
+        magnitude_db *= 20.0
+        mapped = (draw.deployment, magnitude_db)
     p_tx = cfg.tx_power(len(scenario.beams))
     if cfg.regularization_mode == "paper":
         alpha = cfg.noise_power_w / p_tx
@@ -431,17 +437,25 @@ def _write_iterations(cell, results, report):
 
 
 def write_channel_map(out_dir, density, dep: Deployment, magnitude_db):
-    """Debug dump of iteration 0's |h| in dB, a row per (user, antenna); K plays no part."""
+    """Debug dump of iteration 0's |h| in dB, a row per (user, antenna); K plays no part.
+
+    Written `_CHUNK_ROWS // N_B` users at a time, so the expanded columns
+    of one block are held at once, not the whole map's.
+    """
     n_users, n_beams = magnitude_db.shape
     path = os.path.join(out_dir, f"channel_map_rho{density:g}.csv")
-    _write_table(path, {
-        "beam": np.repeat(dep.beam_id, n_beams),
-        "user": np.repeat(np.arange(n_users), n_beams),
-        "lat": np.repeat(dep.lat, n_beams),
-        "lon": np.repeat(dep.lon, n_beams),
-        "antenna": np.tile(np.arange(n_beams), n_users),
-        "magnitude_db": magnitude_db.ravel(),
-    })
+    step = max(1, _CHUNK_ROWS // n_beams)
+    for start in range(0, n_users, step):
+        block = slice(start, min(start + step, n_users))
+        users = np.arange(block.start, block.stop)
+        _write_table(path, {
+            "beam": np.repeat(dep.beam_id[block], n_beams),
+            "user": np.repeat(users, n_beams),
+            "lat": np.repeat(dep.lat[block], n_beams),
+            "lon": np.repeat(dep.lon[block], n_beams),
+            "antenna": np.tile(np.arange(n_beams), len(users)),
+            "magnitude_db": magnitude_db[block].ravel(),
+        }, append=start > 0)
     return path
 
 

@@ -71,7 +71,9 @@ def nonprecoded_sinr(user_vectors, serving_beam, p_tx) -> np.ndarray:
     """Per-user SINR without precoding: every beam interferes at full power."""
     h = np.atleast_2d(np.asarray(user_vectors, dtype=complex))
     b = np.atleast_1d(np.asarray(serving_beam, dtype=int))
-    g = np.abs(h) ** 2 * p_tx
+    g = np.abs(h)                     # |h|^2 P_TX in this one buffer
+    np.square(g, out=g)
+    g *= p_tx
     sig = g[np.arange(len(h)), b]
     interference = g.sum(axis=1) - sig
     return sig / (interference + 1.0)

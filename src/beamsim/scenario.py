@@ -222,13 +222,41 @@ class Beam:
         return round_half_up(density * self.area_km2)
 
 
+def _beam_number(beam_id, name, value) -> float:
+    """Beam field `name` as a finite float."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"beam {beam_id}: field '{name}' must be a number, "
+                              f"got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ValidationError(f"beam {beam_id}: field '{name}' must be finite, got {value!r}")
+    return number
+
+
 def make_beam(
     beam_id, center_lat, center_lon, boundary, area_km2=None,
     g_max_db=None, theta_3db_deg=None,
 ) -> Beam:
-    boundary = np.asarray(boundary, dtype=float)
+    center_lat = _beam_number(beam_id, "center[0]", center_lat)
+    center_lon = _beam_number(beam_id, "center[1]", center_lon)
+    if area_km2 is not None:
+        area_km2 = _beam_number(beam_id, "area_km2", area_km2)
+    if g_max_db is not None:
+        g_max_db = _beam_number(beam_id, "g_max_db", g_max_db)
+    if theta_3db_deg is not None:
+        theta_3db_deg = _beam_number(beam_id, "theta_3db_deg", theta_3db_deg)
+        if not 0.0 < theta_3db_deg < 90.0:
+            raise ValidationError(f"beam {beam_id}: field 'theta_3db_deg' must lie in (0, 90) "
+                                  f"degrees, got {theta_3db_deg!r}")
+    try:
+        boundary = np.asarray(boundary, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"beam {beam_id}: boundary must be lat/lon numbers") from exc
     if boundary.ndim != 2 or boundary.shape[1] != 2 or len(boundary) < 3:
         raise ValidationError(f"beam {beam_id}: boundary must be >= 3 lat/lon vertices")
+    if not np.all(np.isfinite(boundary)):
+        raise ValidationError(f"beam {beam_id}: boundary must be finite")
     x, y = geometry.project_tangent(center_lat, center_lon, boundary[:, 0], boundary[:, 1])
     boundary_xy = np.column_stack([x, y])
     if not geometry.polygon_is_simple(boundary_xy):
@@ -245,8 +273,8 @@ def make_beam(
         )
     return Beam(
         beam_id=int(beam_id),
-        center_lat=float(center_lat),
-        center_lon=float(center_lon),
+        center_lat=center_lat,
+        center_lon=center_lon,
         boundary=boundary,
         area_km2=float(area_km2),
         boundary_xy=boundary_xy,
@@ -267,8 +295,15 @@ def beams_from_records(records) -> list[Beam]:
             boundary = rec["boundary"]
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"beam record missing field {exc}") from exc
+        try:
+            beam_id = _integer(beam_id)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"beam id must be an integer, got {beam_id!r}") from exc
         if beam_id in seen:
             raise ValidationError(f"duplicate beam id {beam_id} in layout")
+        if not isinstance(center, (list, tuple)) or len(center) != 2:
+            raise ValidationError(f"beam {beam_id}: field 'center' must be [lat, lon], "
+                                  f"got {center!r}")
         seen.add(beam_id)
         beams.append(
             make_beam(

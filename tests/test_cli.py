@@ -132,6 +132,23 @@ def test_validate_infinite_density_exit_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_beam_gain_exit_one(command, small_config, tmp_path, capsys):
+    # a NaN gain used to validate and then fail every cell in clustering
+    records = json.loads(open(hex7()).read())
+    records[2]["g_max_db"] = float("nan")
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps(records))
+    args = ["--config", small_config, "--beams", str(layout)]
+    if command == "run":
+        args += ["--iterations", "1", "--out", str(tmp_path / "out")]
+    assert main([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: beam 3: field 'g_max_db' must be finite")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cluster_dumps_partitions(capsys):
     # the partitions run uses in iteration 0; the bundled config clusters in channel space
     assert main(["cluster", "--beams", hex7()]) == 0

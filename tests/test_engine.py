@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import numpy as np
@@ -97,6 +98,30 @@ def test_gsa_frames_match_sector_bound(small_scenario):
     assert np.array_equal(sched["borrowed"],
                           counts[sched["beam"], sched["sector"]] == 0)
     assert len(sched["beam"]) == len(data.sectors) * n_beams
+
+
+def test_draw_hashes_are_digests_of_the_arrays_bytes(small_scenario):
+    draw = engine.draw_iteration(small_scenario, 2.5e-4, 0)
+    dep = draw.deployment
+    assert draw.channel_hash == hashlib.sha256(draw.h.tobytes()).hexdigest()
+    assert draw.deployment_hash == hashlib.sha256(
+        np.column_stack([dep.lat, dep.lon, dep.slant]).tobytes()).hexdigest()
+
+
+def test_channel_map_blocks_join_seamlessly(small_scenario, tmp_path, monkeypatch):
+    draw = engine.draw_iteration(small_scenario, 2.5e-4, 0)
+    magnitude_db = 20.0 * np.log10(np.abs(draw.h))
+    n_users, n_beams = magnitude_db.shape
+    whole = engine.write_channel_map(tmp_path, 2.5e-4, draw.deployment, magnitude_db)
+    expected = open(whole).read()
+    # 5 users per block: several blocks and a shorter last one
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", 5 * n_beams + 3)
+    assert n_users % 5 != 0
+    os.remove(whole)
+    blocks = engine.write_channel_map(tmp_path, 2.5e-4, draw.deployment, magnitude_db)
+    text = open(blocks).read()
+    assert text == expected
+    assert len(text.splitlines()) == 1 + n_users * n_beams
 
 
 def test_table_writer_formats_by_dtype(tmp_path):

@@ -211,6 +211,64 @@ def test_duplicate_beam_ids_rejected():
         beams_from_records([rec, dict(rec)])
 
 
+HEX_RECORD = {
+    "id": 3,
+    "center": [45.0, 8.0],
+    "boundary": [[45.5, 7.5], [45.5, 8.5], [44.5, 8.5], [44.5, 7.5]],
+}
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("g_max_db", "45 dB", "'g_max_db' must be a number"),
+    ("g_max_db", None, None),
+    ("g_max_db", math.nan, "'g_max_db' must be finite"),
+    ("g_max_db", math.inf, "'g_max_db' must be finite"),
+    ("g_max_db", [45.0], "'g_max_db' must be a number"),
+    ("theta_3db_deg", 0, r"'theta_3db_deg' must lie in \(0, 90\)"),
+    ("theta_3db_deg", -1, r"'theta_3db_deg' must lie in \(0, 90\)"),
+    ("theta_3db_deg", 90.0, r"'theta_3db_deg' must lie in \(0, 90\)"),
+    ("theta_3db_deg", math.nan, "'theta_3db_deg' must be finite"),
+    ("area_km2", math.nan, "'area_km2' must be finite"),
+    ("area_km2", "100", "declared area"),
+    ("area_km2", "wide", "'area_km2' must be a number"),
+    ("center", [math.nan, 8.0], r"'center\[0\]' must be finite"),
+    ("center", [45.0, "east"], r"'center\[1\]' must be a number"),
+    ("center", [45.0], "'center' must be"),
+    ("center", 45.0, "'center' must be"),
+    ("boundary", [[45.5, 7.5], [45.5, math.inf], [44.5, 8.5]], "boundary must be finite"),
+    ("boundary", [[45.5, 7.5], [45.5, "x"], [44.5, 8.5]], "boundary must be lat/lon"),
+])
+def test_bad_beam_field_rejected_by_beam_and_name(field, value, message):
+    record = {**HEX_RECORD, field: value}
+    if message is None:     # a null override is no override
+        assert beams_from_records([record])[0].g_max_db is None
+        return
+    with pytest.raises(ValidationError, match=f"^beam 3: .*{message}"):
+        beams_from_records([record])
+
+
+@pytest.mark.parametrize("beam_id", ["three", 2.7, True, None])
+def test_non_integer_beam_id_rejected(beam_id):
+    # 2.7 used to be truncated to 2, a second beam 2 the duplicate check missed
+    with pytest.raises(ValidationError, match="beam id must be an integer"):
+        beams_from_records([{**HEX_RECORD, "id": 2}, {**HEX_RECORD, "id": beam_id}])
+
+
+def test_beam_id_string_is_converted_before_the_duplicate_check():
+    assert beams_from_records([{**HEX_RECORD, "id": "7"}])[0].beam_id == 7
+    with pytest.raises(ValidationError, match="duplicate beam id 2"):
+        beams_from_records([{**HEX_RECORD, "id": 2}, {**HEX_RECORD, "id": "2"}])
+
+
+def test_numeric_beam_fields_converted_to_float():
+    beam = beams_from_records([{**HEX_RECORD, "g_max_db": "45", "theta_3db_deg": "0.4",
+                                "center": ["45", 8]}])[0]
+    assert (beam.g_max_db, beam.theta_3db_deg, beam.center_lat, beam.center_lon) == (
+        45.0, 0.4, 45.0, 8.0)
+    assert all(type(v) is float
+               for v in (beam.g_max_db, beam.theta_3db_deg, beam.center_lat, beam.center_lon))
+
+
 def test_load_bundled_layouts():
     from beamsim.cli import data_path
 
