@@ -8,12 +8,13 @@ position or the real embedding of the complex channel vector.
 Reference picks break ties toward the lowest user index.  Barycentre
 distances within the relative tolerance `TIE_RTOL` of the largest count as
 tied, so the pick does not depend on rounding (two remaining users, for
-example, are always equidistant from their barycentre).  The exception is a
-remaining pool whose users all coincide: every barycentre distance is then
-rounding, and the rounding picks.  Neighbours are ranked on the distances
-the Gram table below yields, lowest index first among equal values; features
-whose neighbour distances tie exactly may round apart there, so those ties
-need not break toward the lowest index.
+example, are always equidistant from their barycentre).  The tolerance is
+never below `TIE_RTOL` of the largest |x|^2 in the Gram table below, the
+scale of its rounding, so the users of a pool that all coincide tie too.
+Neighbours are ranked on the distances the Gram table yields, lowest index
+first among equal values; features whose neighbour distances tie exactly
+may round apart there, so those ties need not break toward the lowest
+index.
 
 Cost: every distance a pass needs comes from the Gram matrix G = X X^T of
 the remaining users' features X, centred on their barycentre, and from
@@ -82,6 +83,7 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> np.ndar
         if not np.isfinite(total):
             raise ValidationError(f"beam {beam_id}: features too large for the distance table")
         far = gram.diagonal().copy()    # |x_i|^2, -inf once taken
+        floor = TIE_RTOL * far.max()    # least tie tolerance: the table's rounding scale
         near = far.copy()               # |x_i|^2, +inf once taken
         bary = np.empty_like(far)
         dist = np.empty_like(far)
@@ -92,7 +94,8 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> np.ndar
             np.multiply(row_sum, -2.0 / m, out=bary)
             bary += far
             top = bary.max()
-            ref = int(np.argmax(bary >= top - TIE_RTOL * abs(top + total / (m * m))))
+            tol = max(TIE_RTOL * abs(top + total / (m * m)), floor)
+            ref = int(np.argmax(bary >= top - tol))
             if m == 2:
                 # two users always tie, however far from them the table is centred
                 ref = int(np.argmax(far > -np.inf))

@@ -6,7 +6,11 @@ requested scheduler on them for every cluster size of the sweep, so policy
 and cluster-size comparisons are paired.  The clusters are rows of one
 padded table (beam b's cluster c at `first_cluster[b] + c`) with a sector
 label each, and frame f of a schedule serves the rows
-`first_cluster + selection[f]`.  Every RNG stream derives from (master_seed,
+`first_cluster + selection[f]`.  A policy's frames are precoded in blocks
+of `_CHUNK_ROWS // (N_B * N_B * K)`: a block gathers its clusters' members
+(about 1 MiB of channel vectors), forms their equivalent vectors, and
+solves and scores all of its frames in one call per stage, each frame to
+the bit as on its own.  Every RNG stream derives from (master_seed,
 iteration, purpose), so the run is reproducible at any worker count; each
 cell's rows are written an iteration at a time.
 """
@@ -76,7 +80,6 @@ class IterationState:
     cluster_sizes: np.ndarray # (C,) members per cluster
     n_clusters: np.ndarray    # (N_B,) clusters per beam
     first_cluster: np.ndarray # (N_B,) beam b's cluster c is row first_cluster[b] + c
-    eqvec: np.ndarray         # (C, N_B) equivalent channel vector: the members' mean
     sector: np.ndarray        # (C,) sector of each cluster's barycentre in its beam
 
 
@@ -160,7 +163,6 @@ def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) 
     n_clusters = -(-np.bincount(dep.beam_idx, minlength=n_beams) // cluster_size)
     first_cluster = np.cumsum(n_clusters) - n_clusters
     clusters = np.full((n_clusters.sum(), cluster_size), -1)
-    eqvec = np.empty((len(clusters), n_beams), dtype=h.dtype)
     sector = np.empty(len(clusters), dtype=int)
     grid = cfg.sector_grid()
     for bi, beam in enumerate(scenario.beams):
@@ -175,7 +177,6 @@ def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) 
         local = clustering.max_dist_partition(feats, cluster_size, beam.beam_id)
         rows = slice(first_cluster[bi], first_cluster[bi] + n_clusters[bi])
         clusters[rows] = np.where(local >= 0, sel[local], -1)
-        eqvec[rows] = clustering.cluster_means(h[sel], local)
         bary = clustering.cluster_means(xy, local)
         phi, radius = geometry.normalized_polar_from_xy(beam.boundary_xy, *bary.T, clamp=True)
         sector[rows] = grid.assign(phi, radius)
@@ -186,7 +187,6 @@ def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) 
         cluster_sizes=np.count_nonzero(clusters >= 0, axis=1),
         n_clusters=n_clusters,
         first_cluster=first_cluster,
-        eqvec=eqvec,
         sector=sector,
     )
 
@@ -249,34 +249,31 @@ def _evaluate_policy(scenario, policy, state, iteration, alpha, p_tx, collect_tr
     else:
         raise ValidationError(f"unknown scheduler policy {policy!r}")
     n_beams = len(scenario.beams)
-    dep, h_all, nonprec_all = state.draw.deployment, state.draw.h, state.draw.nonprec
+    dep, nonprec_all = state.draw.deployment, state.draw.nonprec
     beam_idx = dep.beam_idx
 
     n_frames = seq.n_frames
-    rates = np.zeros((n_frames, n_beams))
-    loss_flags = np.zeros(n_frames, dtype=bool)
+    rows = state.first_cluster + seq.selection
     keep_sinrs = collect_trace or collect_map
-    frame_members, frame_prec = [], []
-
-    for fi, rows in enumerate(state.first_cluster + seq.selection):
-        w = precoding.normalize_power(
-            precoding.mmse_precoder(state.eqvec[rows], alpha), cfg.normalization_mode, p_tx
-        )
-        table = state.clusters[rows]
-        members = table[table >= 0]
-        prec = precoding.precoded_sinr(h_all[members], beam_idx[members], w, p_tx)
-
-        rates[fi] = cluster_rates(prec, state.cluster_sizes[rows], scenario.modcod)
-        loss_flags[fi] = bool(np.any(prec < nonprec_all[members]))
-        if keep_sinrs:
-            frame_members.append(members)
-            frame_prec.append(prec)
+    # frames per block: its gathered member channels hold about _CHUNK_ROWS
+    # complex values (1 MiB)
+    step = max(1, _CHUNK_ROWS // (n_beams * n_beams * state.clusters.shape[1]))
+    blocks = []
+    for start in range(0, n_frames, step):
+        try:
+            block = _precode_frames(scenario, state, rows[start:start + step], alpha, p_tx)
+        except _CELL_ERRORS:
+            # raise what the lowest failing frame of the block raises on its own
+            for fi in range(start, min(start + step, n_frames)):
+                _precode_frames(scenario, state, rows[fi:fi + 1], alpha, p_tx)
+            raise
+        blocks.append(block if keep_sinrs else block[:2])
+    rates, loss_flags, *sinrs = (np.concatenate(part) for part in zip(*blocks))
 
     data = PolicyIterationData(rates, loss_flags, seq.sector)
     if not keep_sinrs:
         return data
-    members = np.concatenate(frame_members)
-    prec = np.concatenate(frame_prec)
+    members, prec = sinrs
     if collect_trace:
         frame_no = np.arange(1, n_frames + 1)
         data.traces["schedule.csv"] = {
@@ -287,14 +284,14 @@ def _evaluate_policy(scenario, policy, state, iteration, alpha, p_tx, collect_tr
             "borrowed": seq.borrowed.ravel(),
         }
         data.traces["sinr_trace.csv"] = {
-            "frame": np.repeat(frame_no, [len(m) for m in frame_members]),
+            "frame": np.repeat(frame_no, state.cluster_sizes[rows].sum(axis=1)),
             "beam": beam_idx[members],
             "user": members,
             "precoded_db": _db(prec),
             "nonprecoded_db": _db(nonprec_all[members]),
         }
     if collect_map:
-        n_users = len(h_all)
+        n_users = len(nonprec_all)
         serve_count = np.bincount(members, minlength=n_users)
         prec_sum = np.bincount(members, weights=prec, minlength=n_users)
         served = serve_count > 0
@@ -310,6 +307,32 @@ def _evaluate_policy(scenario, policy, state, iteration, alpha, p_tx, collect_tr
             "frames_served": serve_count,
         }
     return data
+
+
+def _precode_frames(scenario, state, rows, alpha, p_tx):
+    """Precode a block of frames, frame f serving the cluster rows `rows[f]`.
+
+    Returns the frames' (f, N_B) rates, their loss flags, and the members
+    they serve, frame after frame and cluster after cluster, with their
+    precoded SINRs.  Every frame gets the arithmetic of its own 2-D
+    precoding calls, to the last bit.
+    """
+    cfg = scenario.config
+    h, nonprec = state.draw.h, state.draw.nonprec
+    n_frames, n_beams = rows.shape
+    table = state.clusters[rows.ravel()]         # (f * N_B, K), -1 past a cluster's size
+    eqvec = clustering.cluster_means(h, table)
+    w = precoding.normalize_power(
+        precoding.mmse_precoder(eqvec.reshape(n_frames, n_beams, -1), alpha),
+        cfg.normalization_mode, p_tx,
+    )
+    slots = table.reshape(n_frames, -1)          # a pad gathers a stand-in user, dropped below
+    served = slots >= 0
+    prec = precoding.precoded_sinr(h[slots], state.draw.deployment.beam_idx[slots], w, p_tx)
+    lost = np.any((prec < nonprec[slots]) & served, axis=1)
+    members, prec = slots[served], prec[served]
+    rates = cluster_rates(prec, state.cluster_sizes[rows].ravel(), scenario.modcod)
+    return rates.reshape(n_frames, n_beams), lost, members, prec
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +377,8 @@ def scenario_hash(scenario: Scenario) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-# Rows per formatted block of a table; bounds the strings held at once.
+# Rows per formatted block of a table, and member channel vector entries per
+# block of precoded frames; bounds what either holds at once.
 _CHUNK_ROWS = 65536
 
 

@@ -19,6 +19,7 @@ from beamsim.channel import (
 )
 from beamsim import engine
 from beamsim.engine import build_iteration, draw_iteration
+from beamsim.clustering import cluster_means
 from beamsim.scenario import config_from_mapping
 
 from conftest import bundled_scenario
@@ -289,8 +290,9 @@ def test_equivalent_vector_examples(scenario7):
     draw = draw_iteration(scenario7, scenario7.config.user_density, 0)
     for k in (1, 2):
         state = build_iteration(scenario7, k, draw)
-        assert state.eqvec.shape == (len(state.clusters), scenario7.n_beams)
-        for row, v in zip(state.clusters, state.eqvec):
+        eqvec = cluster_means(draw.h, state.clusters)
+        assert eqvec.shape == (len(state.clusters), scenario7.n_beams)
+        for row, v in zip(state.clusters, eqvec):
             members = row[row >= 0]
             if k == 1:      # a single member is its own equivalent vector
                 assert np.array_equal(v, draw.h[members[0]])

@@ -93,9 +93,6 @@ def assert_follows_max_dist(features, partition, cluster_size):
         bary = barycentre_distances(pool)
         top = bary.max()
         ref = remaining[np.argmax(bary >= top - TIE_RTOL * top)]
-        if (pool == pool[0]).all():
-            # a pool of one point has no farthest user: the Gram rounding picks
-            ref = cluster[0]
         assert ref in cluster
         dist = np.einsum("ij,ij->i", pool - feats[ref], pool - feats[ref])
         inside = np.isin(remaining, cluster)
@@ -158,6 +155,17 @@ def test_tight_last_pair_lowest_index_first():
         pair = rng.uniform(100.0, 1000.0, size=dim) + rng.normal(scale=1e-4, size=(2, dim))
         feats = np.vstack([np.zeros((1, dim)), pair])
         assert max_dist_partition(feats, 1).tolist() == [[0], [1], [2]]
+
+
+def test_coincident_pool_lowest_index_first():
+    # at pass 53 the 8 remaining users coincide: all tie, and user 10 is the
+    # lowest index, though the rounding of the distance table ranks 58 first
+    feats = np.random.default_rng(193).integers(-1, 2, size=(61, 3)) * 0.1
+    table = max_dist_partition(feats, 1)
+    left = table[53:, 0]
+    assert (feats[left] == feats[left[0]]).all()
+    assert left.tolist() == sorted(left.tolist())
+    assert table[53, 0] == 10
 
 
 def test_regular_polygon_ties_go_to_lowest_index():

@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from beamsim import engine, precoding
+from beamsim import clustering, engine, precoding, scheduling
 from beamsim.errors import ValidationError
-from beamsim.link_adaptation import aggregate
+from beamsim.link_adaptation import aggregate, cluster_rates
 
 from conftest import bundled_scenario
 
@@ -77,6 +77,170 @@ def test_sweep_reports_pool_their_own_iterations(small_scenario):
     # the single-cell entry point reports what the sweep does
     assert _report_values(engine.run_cell(small_scenario, 2, 4e-4, iterations=2)) == (
         _report_values(reports[2, 4e-4]))
+
+
+def per_frame_reference(scenario, policy, state, iteration, alpha, p_tx):
+    """A policy's frames precoded one at a time with the 2-D precoding calls.
+
+    Returns the rates, loss flags, schedule and sinr_trace columns and the
+    user map, built as the engine builds them.
+    """
+    cfg = scenario.config
+    if policy == "random":
+        seq = scheduling.random_schedule(state.n_clusters, engine.iteration_seed(
+            cfg.master_seed, iteration, engine._SEED_RANDOM))
+    else:
+        seq = scheduling.gsa_schedule(state.sector, state.n_clusters, cfg.sector_grid(),
+                                      engine.iteration_seed(cfg.master_seed, iteration,
+                                                            engine._SEED_GSA))
+    dep, h, nonprec = state.draw.deployment, state.draw.h, state.draw.nonprec
+    n_frames, n_beams = seq.selection.shape
+    rates = np.zeros((n_frames, n_beams))
+    loss_flags = np.zeros(n_frames, dtype=bool)
+    frame_members, frame_prec = [], []
+    for fi, rows in enumerate(state.first_cluster + seq.selection):
+        table = state.clusters[rows]
+        eqvec = clustering.cluster_means(h, table)
+        w = precoding.normalize_power(precoding.mmse_precoder(eqvec, alpha),
+                                      cfg.normalization_mode, p_tx)
+        members = table[table >= 0]
+        prec = precoding.precoded_sinr(h[members], dep.beam_idx[members], w, p_tx)
+        rates[fi] = cluster_rates(prec, state.cluster_sizes[rows], scenario.modcod)
+        loss_flags[fi] = bool(np.any(prec < nonprec[members]))
+        frame_members.append(members)
+        frame_prec.append(prec)
+    members, prec = np.concatenate(frame_members), np.concatenate(frame_prec)
+    frame_no = np.arange(1, n_frames + 1)
+    traces = {
+        "schedule.csv": {
+            "frame": np.repeat(frame_no, n_beams),
+            "sector": np.repeat(seq.sector, n_beams),
+            "beam": np.tile(np.arange(n_beams), n_frames),
+            "cluster": seq.selection.ravel(),
+            "borrowed": seq.borrowed.ravel(),
+        },
+        "sinr_trace.csv": {
+            "frame": np.repeat(frame_no, [len(m) for m in frame_members]),
+            "beam": dep.beam_idx[members],
+            "user": members,
+            "precoded_db": engine._db(prec),
+            "nonprecoded_db": engine._db(nonprec[members]),
+        },
+    }
+    n_users = len(h)
+    serve_count = np.bincount(members, minlength=n_users)
+    prec_sum = np.bincount(members, weights=prec, minlength=n_users)
+    served = serve_count > 0
+    mean_prec = np.full(n_users, np.nan)
+    mean_prec[served] = engine._db(prec_sum[served] / serve_count[served])
+    user_map = {
+        "beam": dep.beam_id,
+        "user": np.arange(n_users),
+        "lat": dep.lat,
+        "lon": dep.lon,
+        "mean_precoded_db": mean_prec,
+        "mean_nonprecoded_db": engine._db(nonprec),
+        "frames_served": serve_count,
+    }
+    return rates, loss_flags, traces, user_map
+
+
+def assert_same_frames(data, reference):
+    rates, loss_flags, traces, user_map = reference
+    np.testing.assert_array_equal(data.rates, rates)
+    np.testing.assert_array_equal(data.loss_flags, loss_flags)
+    assert data.traces.keys() == traces.keys()
+    for name, table in traces.items():
+        assert data.traces[name].keys() == table.keys()
+        for column, values in table.items():
+            np.testing.assert_array_equal(data.traces[name][column], values,
+                                          err_msg=f"{name}: {column}")
+    assert data.user_map.keys() == user_map.keys()
+    for column, values in user_map.items():
+        np.testing.assert_array_equal(data.user_map[column], values, err_msg=column)
+
+
+@pytest.mark.parametrize("layout", ["beams_hex7.json", "beams_hex19.json"])
+def test_frame_blocks_match_per_frame_loop(layout, monkeypatch):
+    # every frame of a block is precoded to the bit as it is on its own; blocks
+    # of the default size, of one frame, and with a shorter last block
+    scenario = bundled_scenario(layout)
+    cfg = scenario.config
+    n_beams = scenario.n_beams
+    p_tx = cfg.tx_power(n_beams)
+    alpha = cfg.noise_power_w / p_tx
+    for iteration in (0, 1):
+        draw = engine.draw_iteration(scenario, cfg.user_density, iteration)
+        for k in (1, 2, 4, 8):
+            state = engine.build_iteration(scenario, k, draw)
+            for policy in engine.POLICIES:
+                reference = per_frame_reference(scenario, policy, state, iteration, alpha, p_tx)
+                n_frames = len(reference[0])
+                step = next(s for s in (3, 4, 5, 7) if n_frames % s)
+                for chunk in (engine._CHUNK_ROWS, 1, n_beams * n_beams * k * step):
+                    monkeypatch.setattr(engine, "_CHUNK_ROWS", chunk)
+                    data = engine._evaluate_policy(scenario, policy, state, iteration,
+                                                   alpha, p_tx, True, True)
+                    assert_same_frames(data, reference)
+                monkeypatch.undo()
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({3: "nan", 7: "zero"}, "cluster rates need SINRs that are not NaN"),
+    ({3: "zero", 7: "inf"}, "cannot power-normalize a precoding matrix of power 0.0"),
+    ({3: "inf", 7: "nan"}, "cannot power-normalize a precoding matrix of power inf"),
+])
+def test_failing_frame_of_a_block_raises_as_on_its_own(small_scenario, monkeypatch, faults,
+                                                       message):
+    # two frames of one block fail; the block raises the error of the lower one,
+    # as the frames precoded one at a time do
+    scenario, policy = small_scenario, "random"
+    cfg = scenario.config
+    p_tx = cfg.tx_power(scenario.n_beams)
+    alpha = cfg.noise_power_w / p_tx
+    state = engine.build_iteration(scenario, 2, engine.draw_iteration(scenario, 2.5e-4, 0))
+    clean = engine._evaluate_policy(scenario, policy, state, 0, alpha, p_tx, True, False)
+    n_frames = len(clean.rates)
+    assert n_frames <= engine._CHUNK_ROWS // (scenario.n_beams ** 2 * 2)   # one block
+    sched, trace = clean.traces["schedule.csv"], clean.traces["sinr_trace.csv"]
+    rows = state.first_cluster + sched["cluster"].reshape(n_frames, -1)
+    h = state.draw.h
+    # frames are recognised by their content, the same in a block and alone
+    power_faults = {clustering.cluster_means(h, state.clusters[rows[f]]).tobytes(): kind
+                    for f, kind in faults.items() if kind != "nan"}
+    first_frame = {}
+    for frame, user in zip(trace["frame"], trace["user"]):
+        first_frame.setdefault(user, frame - 1)
+    # users first served in a "nan" frame get a NaN SINR
+    nan_users = [u for u, f in first_frame.items() if faults.get(f) == "nan"][:1]
+    assert len(nan_users) == ("nan" in faults.values())
+
+    mmse, sinr = precoding.mmse_precoder, precoding.precoded_sinr
+
+    def faulty_mmse(frames, alpha):
+        w = mmse(frames, alpha)
+        n = frames.shape[-1]
+        for frame, w_frame in zip(frames.reshape(-1, n, n), w.reshape(-1, n, n)):
+            kind = power_faults.get(frame.tobytes())
+            if kind == "zero":
+                w_frame[...] = 0.0
+            elif kind == "inf":
+                w_frame[0, 0] = np.inf
+        return w
+
+    def faulty_sinr(users, *args):
+        g = sinr(users, *args)
+        for user in nan_users:
+            g[(users == h[user]).all(axis=-1)] = np.nan
+        return g
+
+    monkeypatch.setattr(precoding, "mmse_precoder", faulty_mmse)
+    monkeypatch.setattr(precoding, "precoded_sinr", faulty_sinr)
+    with pytest.raises(ValidationError) as alone:
+        per_frame_reference(scenario, policy, state, 0, alpha, p_tx)
+    with pytest.raises(ValidationError) as blocked:
+        engine._evaluate_policy(scenario, policy, state, 0, alpha, p_tx, False, False)
+    assert str(blocked.value) == str(alone.value) == message
 
 
 def test_gsa_frames_match_sector_bound(small_scenario):

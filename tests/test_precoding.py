@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamsim.clustering import cluster_means
 from beamsim.engine import build_iteration, draw_iteration
 from beamsim.errors import ValidationError
 from beamsim.precoding import (
@@ -114,6 +115,59 @@ def test_non_finite_power_rejected(mode):
     for w in ([[np.inf, 1.0], [1.0, 1.0]], [[np.nan, 1.0], [1.0, 1.0]]):
         with pytest.raises(ValidationError, match="power"):
             normalize_power(np.array(w, dtype=complex), mode, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# stacks of frames
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 7, 19])
+def test_stacked_frames_equal_their_slices(n):
+    # each frame of a leading stack axis gets its 2-D call's result, bit for bit
+    rng = np.random.default_rng(16)
+    f, m = 5, 3 * n
+    h = random_complex(rng, (f, n, n))
+    alpha = rng.uniform(0.01, 1.0, size=n)
+    w = mmse_precoder(h, alpha)
+    assert w.shape == (f, n, n)
+    for i in range(f):
+        np.testing.assert_array_equal(w[i], mmse_precoder(h[i], alpha))
+    for mode in ("sum-power", "per-antenna", "none"):
+        scaled = normalize_power(w, mode, 2.0)
+        for i in range(f):
+            np.testing.assert_array_equal(scaled[i], normalize_power(w[i], mode, 2.0))
+    users = random_complex(rng, (f, m, n))
+    serving = rng.integers(0, n, size=(f, m))
+    g = precoded_sinr(users, serving, w, 1.5)
+    assert g.shape == (f, m)
+    for i in range(f):
+        np.testing.assert_array_equal(g[i], precoded_sinr(users[i], serving[i], w[i], 1.5))
+
+
+@pytest.mark.parametrize("mode", ["sum-power", "per-antenna"])
+def test_stack_power_error_names_lowest_failing_frame(mode):
+    w = np.tile(np.eye(3, dtype=complex), (5, 1, 1))
+    w[3, 0, 0] = np.inf
+    w[1] = 0.0
+    w[4, 1, 1] = np.nan
+    with pytest.raises(ValidationError) as stacked:
+        normalize_power(w, mode, 1.0)
+    with pytest.raises(ValidationError) as alone:
+        normalize_power(w[1], mode, 1.0)
+    assert str(stacked.value) == str(alone.value) == (
+        "cannot power-normalize a precoding matrix of power 0.0")
+    with pytest.raises(ValidationError, match="power inf"):
+        normalize_power(w[2:], mode, 1.0)
+
+
+def test_stack_with_a_non_finite_frame_rejected():
+    h = np.tile(np.eye(3, dtype=complex), (4, 1, 1))
+    h[2, 1, 0] = np.nan
+    for frames in (h, h[2]):
+        with pytest.raises(ValidationError, match="frame matrix must be finite and square"):
+            mmse_precoder(frames, 0.1)
+    with pytest.raises(ValidationError, match="square"):
+        mmse_precoder(np.ones((2, 3, 2), dtype=complex), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +308,7 @@ def test_paper_rule_on_physical_channel_equals_normalized_mode(scenario19):
     p_z = cfg.noise_power_w
     p_tx = cfg.tx_power(scenario19.n_beams)
     for frame in range(4):
-        h = state.eqvec[state.first_cluster + frame]
+        h = cluster_means(state.draw.h, state.clusters[state.first_cluster + frame])
         w_phys = normalize_power(mmse_precoder(h * np.sqrt(p_z), p_z / p_tx), "sum-power", p_tx)
         w_norm = normalize_power(mmse_precoder(h, 1.0 / p_tx), "sum-power", p_tx)
         assert np.linalg.norm(w_phys - w_norm) <= 1e-10 * np.linalg.norm(w_norm)
