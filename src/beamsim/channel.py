@@ -6,9 +6,10 @@ Each user sees one complex coefficient per transmitting antenna,
            * exp(-j 2 pi d / lambda) * exp(-j theta),
 
 with the receiver noise power P_Z = k T B folded in so downstream SINRs use
-unit noise.  G_bj is the multi-beam transmit gain toward the user, modelled
-with a tapered-aperture Bessel pattern; theta is a random phase drawn once per Monte Carlo iteration, by default one
-phase per transmitting antenna.
+unit noise.  G_bj is the transmit gain of antenna j toward the user, from
+the tapered-aperture Bessel pattern (evaluated with numpy alone).  theta is
+a random phase drawn once per Monte Carlo iteration, by default one phase
+per transmitting antenna.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, j1
 
 from . import geometry
 from .errors import ValidationError
@@ -29,34 +29,75 @@ GAIN_FLOOR_REL = 1e-10  # -100 dB relative to boresight; keeps |h| > 0
 # Antenna pattern
 # ---------------------------------------------------------------------------
 
-# Below this u the bracket is summed as a power series: the recurrence for
-# J3 from J0 and J1 cancels catastrophically as u -> 0.
-_SERIES_MAX_U = 2.0
+# Below this u the bracket is summed as its power series; above it, it comes
+# from its Hankel amplitude-phase form.  The split lies below the first null
+# (u = 5.907), so the series, whose largest term at u = 5 is 1.95, still
+# carries the bracket (0.072 there) to full relative accuracy.
+_SPLIT_U = 5.0
 # Coefficients of the bracket in w = (u/2)^2, from the series of J1 and J3:
-# (-1)^k / (k!) [1 / (4 (k+1)!) + 36 / (8 (k+3)!)]; k <= 11 leaves < 1e-20 at u = 2.
+# (-1)^k / (k!) [1 / (4 (k+1)!) + 36 / (8 (k+3)!)]; k <= 17 leaves < 1e-19 at u = 5.
 _BRACKET_SERIES = np.array([
     (-1) ** k / math.factorial(k)
     * (0.25 / math.factorial(k + 1) + 4.5 / math.factorial(k + 3))
-    for k in range(12)
+    for k in range(18)
 ])
+# Above the split, b(u) = t^(3/2) [alpha(t) cos u + beta(t) sin u] with
+# t = _SPLIT_U / u in (0, 1]: the form sqrt(2 / pi u) t [...] with
+# sqrt(2 / pi _SPLIT_U) folded into alpha and beta.  With the bracket's
+# Bessel-Y counterpart b~ = Y1(u)/2u + 36 Y3(u)/u^3,
+# alpha = (b cos u + b~ sin u) / t^(3/2) and beta = (b sin u - b~ cos u) / t^(3/2),
+# both smooth on [0, 1].  Degree-16 least-squares fits, lowest power first;
+# `fit_taper_tail` in tests/test_channel.py refits them from scipy's jv and yv.
+_TAIL_ALPHA = np.array([
+    -0.025231325220201606, 0.0018923493915162324, 0.0725479447970645,
+    -0.06360363712027055, -0.02145342103331519, 0.0019693398342029507,
+    -0.00016093008066334785, -3.6554230093861806e-05, 1.3039639526614274e-05,
+    6.549892198550017e-06, -3.362173662614873e-06, -5.651063334902832e-06,
+    8.98630583422867e-06, -6.490287479999947e-06, 2.7919537129316904e-06,
+    -6.942585872100868e-07, 7.758968322436275e-08,
+])
+_TAIL_BETA = np.array([
+    0.025231325220201627, 0.0018923493914992165, -0.0725479447958599,
+    -0.06360363717321534, 0.021453421767846675, 0.001969328692479199,
+    0.00016099146710467629, -3.69846021699433e-05, -1.1730839746238396e-05,
+    2.30674200465638e-06, 1.2465574986778417e-05, -1.5899520807372727e-05,
+    1.119399457979426e-05, -5.319037159788067e-06, 1.7287871623036728e-06,
+    -3.541645717715165e-07, 3.491439350361622e-08,
+])
+
+
+def _horner(x, coef):
+    """sum_k coef[k] x^k, evaluated in one buffer."""
+    out = np.full_like(x, coef[-1])
+    for c in coef[-2::-1]:
+        out *= x
+        out += c
+    return out
 
 
 def taper_bracket(u):
     """Normalised field bracket J1(u)/2u + 36 J3(u)/u^3; 1 at u = 0.
 
-    J3 comes from the recurrence J3 = (8/u^2 - 1) J1 - (4/u) J0, which needs
-    only the fast J0 and J1; below `_SERIES_MAX_U` the bracket is summed as
-    a power series instead.
+    Below `_SPLIT_U` the bracket is its power series in (u/2)^2; above, the
+    amplitude-phase form t^(3/2) [alpha(t) cos u + beta(t) sin u], t = 5/u.
+    Either agrees with J1 and J3 to about 2e-16 absolute.
     """
     u = np.abs(np.asarray(u, dtype=float))
     out = np.empty_like(u)
-    small = u < _SERIES_MAX_U
-    out[small] = np.polynomial.polynomial.polyval((0.5 * u[small]) ** 2, _BRACKET_SERIES)
+    small = u < _SPLIT_U
+    w = u[small]
+    w *= 0.5
+    w *= w
+    out[small] = _horner(w, _BRACKET_SERIES)
     big = ~small
     ub = u[big]
-    inv2 = 1.0 / (ub * ub)
-    out[big] = (j1(ub) / ub * (0.5 + 36.0 * inv2 * (8.0 * inv2 - 1.0))
-                - 144.0 * inv2 * inv2 * j0(ub))
+    t = _SPLIT_U / ub
+    tail = _horner(t, _TAIL_ALPHA)
+    tail *= np.cos(ub)
+    tail += _horner(t, _TAIL_BETA) * np.sin(ub)
+    tail *= t
+    tail *= np.sqrt(t)
+    out[big] = tail
     return out
 
 

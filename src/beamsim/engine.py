@@ -525,6 +525,8 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
     iterations = cfg.monte_carlo_iterations if iterations is None else int(iterations)
     if not sweep or iterations < 1:
         raise ValidationError("a run needs at least one sweep cell and one iteration")
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, got {threads}")
 
     errors = {}       # cell -> the error of its lowest failing iteration
     sizes = {}        # density -> the cluster sizes it runs
@@ -542,7 +544,7 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
     units = [(scenario, sizes[rho], rho, tuple(policies), it, write and write_traces,
               write and it == 0, write and channel_map and it == 0)
              for rho in sizes for it in range(iterations)]
-    pool = ProcessPoolExecutor(threads) if threads and threads > 1 else None
+    pool = ProcessPoolExecutor(threads) if threads > 1 else None
     with pool or contextlib.nullcontext():
         done = pool.map(run_iteration, *zip(*units)) if pool else itertools.starmap(
             run_iteration, units)

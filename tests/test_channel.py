@@ -5,12 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import j1, jv
+from scipy.special import j1, jv, yv
 
-from beamsim import geometry
+from beamsim import channel, geometry
 from beamsim.channel import (
     GAIN_FLOOR_REL,
-    _SERIES_MAX_U,
+    _SPLIT_U,
+    _TAIL_ALPHA,
+    _TAIL_BETA,
     beam_rf_parameters,
     bessel_taper_gain,
     channel_matrix,
@@ -91,16 +93,57 @@ def test_pattern_matches_jv_oracle():
     u = np.concatenate([
         np.linspace(0.0, 60.0, 200_001),
         [1e-300, 1e-12, 1e-9, 1e-8 * (1.0 - 1e-12), 1e-8, 1e-6, 1e-3, 0.5],
-        _SERIES_MAX_U + np.array([-1e-6, -1e-12, 0.0, 1e-12, 1e-6]),
+        _SPLIT_U + np.array([-1e-6, -1e-12, 0.0, 1e-12, 1e-6]),
         near_nulls,
+        # past u ~ 1200 the bracket's envelope falls under the 1e-10 gain floor
+        np.random.default_rng(3).uniform(60.0, 3000.0, 20_000),
+        [1e6],      # like u = 0 and the split, raises no RuntimeWarning (an error here)
     ])
     expect = jv_bracket(u)
     err = np.abs(taper_bracket(u) - expect)
+    assert err.max() <= 1e-14
     # relative accuracy, or absolute on the normalised bracket where it vanishes
     assert np.all((err <= 1e-11 * np.abs(expect)) | (err <= 1e-13))
     assert np.all(err[np.abs(expect) > 1e-2] <= 1e-11 * np.abs(expect[np.abs(expect) > 1e-2]))
+    # above the split, relative to the sqrt(2 / pi u) / 2u envelope of J1(u)/2u;
+    # at u = 1e6 scipy's jv itself is off by 1e-11 relative
+    tail = (u >= _SPLIT_U) & (u <= 3000.0)
+    assert np.all(err[tail] <= 1e-11 * np.sqrt(2.0 / (math.pi * u[tail])) / (2.0 * u[tail]))
     assert np.max(np.abs(taper_bracket(near_nulls))) < 1e-6
     assert np.array_equal(taper_bracket(-u[:1000]), taper_bracket(u[:1000]))   # even in u
+
+
+def fit_taper_tail(split, degree, n_nodes=400):
+    """Least-squares alpha(t), beta(t) of the bracket above `split`, lowest power first.
+
+    b(u) = t^(3/2) [alpha(t) cos u + beta(t) sin u] with t = split / u; the
+    targets come from b and its Y counterpart b~ = Y1(u)/2u + 36 Y3(u)/u^3 at
+    the Chebyshev nodes of (0, 1).
+    """
+    t = 0.5 * (1.0 - np.cos(math.pi * (np.arange(n_nodes) + 0.5) / n_nodes))
+    u = split / t
+    b = jv(1, u) / (2.0 * u) + 36.0 * jv(3, u) / u**3
+    b_y = yv(1, u) / (2.0 * u) + 36.0 * yv(3, u) / u**3
+    cos, sin, scale = np.cos(u), np.sin(u), t**1.5
+    fits = []
+    for target in ((b * cos + b_y * sin) / scale, (b * sin - b_y * cos) / scale):
+        cheb = np.polynomial.Chebyshev.fit(t, target, degree, domain=[0.0, 1.0])
+        fits.append(cheb.convert(kind=np.polynomial.Polynomial).coef)
+    return fits
+
+
+def test_taper_tail_coefficients_refit(monkeypatch):
+    alpha, beta = fit_taper_tail(_SPLIT_U, len(_TAIL_ALPHA) - 1)
+    t = np.linspace(0.0, 1.0, 10_001)
+    polyval = np.polynomial.polynomial.polyval
+    # the committed literals are this fit, up to the rounding of the fit itself
+    assert np.max(np.abs(polyval(t, alpha) - polyval(t, _TAIL_ALPHA))) <= 1e-15
+    assert np.max(np.abs(polyval(t, beta) - polyval(t, _TAIL_BETA))) <= 1e-15
+    # and the refit coefficients reproduce the bracket above the split
+    monkeypatch.setattr(channel, "_TAIL_ALPHA", alpha)
+    monkeypatch.setattr(channel, "_TAIL_BETA", beta)
+    u = np.concatenate([np.linspace(_SPLIT_U, 60.0, 50_001), np.geomspace(60.0, 1e6, 1_001)])
+    assert np.max(np.abs(taper_bracket(u) - jv_bracket(u))) <= 1e-14
 
 
 def test_gain_matches_jv_oracle():

@@ -1,6 +1,10 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +238,44 @@ def test_seed_outside_32_bits_rejected(command, seed, small_config, tmp_path, ca
     assert err.startswith("error: config field 'master_seed' must lie in [0, 2**32)")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_rejected(threads, small_config, tmp_path, capsys):
+    # used to exit 0 and run serially
+    out = tmp_path / "out"
+    assert main(["run", "--config", small_config, "--beams", hex7(), "--threads", threads,
+                 "--iterations", "1", "--no-traces", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: threads must be at least 1, got {threads}")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_no_scipy_at_run_time(small_config, tmp_path):
+    # scipy is a test dependency only; the tests import it, so check in a fresh process
+    script = f"""
+import sys
+
+def check(step):
+    loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+    assert not loaded, (step, loaded)
+
+import beamsim
+from beamsim.cli import main
+check("import")
+assert main(["validate", "--beams", {hex7()!r}]) == 0
+check("validate")
+assert main(["run", "--config", {small_config!r}, "--beams", {hex7()!r}, "--iterations", "1",
+             "--no-traces", "--out", {str(tmp_path / "out")!r}]) == 0
+check("run")
+"""
+    src = str(Path(beamsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("flag,value,field", [
