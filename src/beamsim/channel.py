@@ -24,6 +24,12 @@ from .errors import ValidationError
 
 GAIN_FLOOR_REL = 1e-10  # -100 dB relative to boresight; keeps |h| > 0
 
+# Channel synthesis and the non-precoded SINRs work on blocks of users whose
+# (users, N_B) float buffer holds about this many values (2 MiB): 3,692 users
+# at 71 beams.  Much smaller blocks cost time, since each block makes one
+# pattern call per antenna.
+_BLOCK_VALUES = 1 << 18
+
 
 # ---------------------------------------------------------------------------
 # Antenna pattern
@@ -171,14 +177,38 @@ def draw_phases(n_beams, rng):
     return rng.uniform(0.0, 2.0 * math.pi, size=n_beams)
 
 
+def _user_blocks(n_users, n_beams):
+    """Consecutive slices of `_BLOCK_VALUES // n_beams` users (at least one)."""
+    step = max(1, _BLOCK_VALUES // n_beams)
+    return (slice(start, start + step) for start in range(0, n_users, step))
+
+
+def _amplitude(users, d, rf: BeamRf, cfg) -> np.ndarray:
+    """|h| of a block of users (unit vectors from the satellite, slant ranges):
+    one (users, N_B) float buffer carries cos -> angle -> gain -> amplitude,
+    and is freed once the caller has used it, before the next block's is made."""
+    amp = users @ rf.boresights.T                               # cos of off-axis angle
+    np.clip(amp, -1.0, 1.0, out=amp)
+    np.arccos(amp, out=amp)                                     # off-axis angle
+    for j in range(rf.boresights.shape[0]):
+        amp[:, j] = bessel_taper_gain(amp[:, j], rf.theta_3db[j], rf.g_max[j])
+    amp *= cfg.rx_gain_linear * cfg.loss_linear
+    np.sqrt(amp, out=amp)
+    amp *= cfg.wavelength
+    amp /= 4.0 * math.pi * d[:, None] * math.sqrt(cfg.noise_power_w)
+    return amp
+
+
 def channel_matrix(user_lat, user_lon, slant_m, user_beam_idx, rf: BeamRf,
                    satellite_ecef_km, cfg, phases) -> np.ndarray:
     """(n_users, N_B) complex channel matrix for fixed users.
 
     `user_beam_idx` holds each user's serving-beam index (0-based) and is only
-    consulted in the literal per-beam phase mode.  One (n_users, N_B) float
-    buffer carries cos -> angle -> gain -> amplitude, and the phase rotation
-    is applied to `h` in place, so at most that buffer sits beside the result.
+    consulted in the literal per-beam phase mode.  The users are synthesized
+    one `_user_blocks` block at a time, straight into the returned `h`, so
+    beside `h` the synthesis holds one block's float buffer (about
+    `_BLOCK_VALUES` values, 2 MiB) whatever the number of users.  Every
+    element gets the same operations as in a single block.
     """
     if not (cfg.rx_gain_linear > 0 and cfg.loss_linear > 0 and cfg.noise_power_w > 0):
         raise ValidationError("receive gain, losses, and noise power must be positive")
@@ -187,19 +217,16 @@ def channel_matrix(user_lat, user_lon, slant_m, user_beam_idx, rf: BeamRf,
     d = np.asarray(slant_m, dtype=float)
     users = geometry.geodetic_to_ecef_km(user_lat, user_lon) - sat
     users = users / np.linalg.norm(users, axis=-1, keepdims=True)
-    amp = users @ rf.boresights.T                               # (n, N_B) cos of off-axis angle
-    np.clip(amp, -1.0, 1.0, out=amp)
-    np.arccos(amp, out=amp)                                     # off-axis angle
-    for j in range(rf.boresights.shape[0]):
-        amp[:, j] = bessel_taper_gain(amp[:, j], rf.theta_3db[j], rf.g_max[j])
-    amp *= cfg.rx_gain_linear * cfg.loss_linear
-    np.sqrt(amp, out=amp)
-    amp *= lam
-    amp /= 4.0 * math.pi * d[:, None] * math.sqrt(cfg.noise_power_w)
-    h = amp * np.exp(-1j * (2.0 * math.pi / lam) * d)[:, None]
-    phases = np.asarray(phases, dtype=float)
+    n_beams = rf.boresights.shape[0]
+    rotation = np.exp(-1j * np.asarray(phases, dtype=float))
     if cfg.phase_mode == "per-antenna":
-        h *= np.exp(-1j * phases)[None, :]
+        rotation = rotation[None, :]
     else:  # literal per-receiving-beam reading
-        h *= np.exp(-1j * phases[np.asarray(user_beam_idx, dtype=int)])[:, None]
+        rotation = rotation[np.asarray(user_beam_idx, dtype=int), None]
+    rotation = np.broadcast_to(rotation, (len(d), n_beams))
+    h = np.empty((len(d), n_beams), dtype=complex)
+    for s in _user_blocks(len(d), n_beams):
+        np.multiply(_amplitude(users[s], d[s], rf, cfg),
+                    np.exp(-1j * (2.0 * math.pi / lam) * d[s])[:, None], out=h[s])
+        h[s] *= rotation[s]
     return h

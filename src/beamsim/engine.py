@@ -21,6 +21,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import multiprocessing
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
@@ -508,6 +509,35 @@ def write_summary(out_dir, reports):
     return paths
 
 
+# Every BLAS the workers' numpy may load reads its thread count from these
+# variables when it is loaded.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _worker_pool(threads):
+    """A pool of `threads` spawned worker processes, each with one BLAS thread.
+
+    A worker's BLAS work (stacks of N_B x N_B solves, small Gram products) is
+    far too small for a BLAS thread pool to pay, and one pool per worker per
+    core oversubscribes the machine.  A forked worker would inherit the BLAS
+    the parent has already started, so the workers are spawned, and import
+    numpy, with the variables set to 1; the parent's own values are restored
+    when the pool closes.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+    try:
+        with ProcessPoolExecutor(threads, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=None,
                    threads=1, iterations=None, write_traces=True, channel_map=False):
     """Run the sweep; optionally write per-cell artifacts and a manifest.
@@ -544,8 +574,7 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
     units = [(scenario, sizes[rho], rho, tuple(policies), it, write and write_traces,
               write and it == 0, write and channel_map and it == 0)
              for rho in sizes for it in range(iterations)]
-    pool = ProcessPoolExecutor(threads) if threads > 1 else None
-    with pool or contextlib.nullcontext():
+    with _worker_pool(threads) if threads > 1 else contextlib.nullcontext() as pool:
         done = pool.map(run_iteration, *zip(*units)) if pool else itertools.starmap(
             run_iteration, units)
         for (_, _, density, *_), by_size in zip(units, done):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import _user_blocks
 from .errors import ValidationError
 
 
@@ -77,13 +78,26 @@ def precoded_sinr(user_vectors, serving_beam, precoder, p_tx) -> np.ndarray:
     return sig / (interference + 1.0)
 
 
-def nonprecoded_sinr(user_vectors, serving_beam, p_tx) -> np.ndarray:
-    """Per-user SINR without precoding: every beam interferes at full power."""
-    h = np.atleast_2d(np.asarray(user_vectors, dtype=complex))
-    b = np.atleast_1d(np.asarray(serving_beam, dtype=int))
+def _sinr_without_precoding(h, b, p_tx):
+    """One block's SINRs; its |h|^2 buffer is freed on return."""
     g = np.abs(h)                     # |h|^2 P_TX in this one buffer
     np.square(g, out=g)
     g *= p_tx
     sig = g[np.arange(len(h)), b]
     interference = g.sum(axis=1) - sig
     return sig / (interference + 1.0)
+
+
+def nonprecoded_sinr(user_vectors, serving_beam, p_tx) -> np.ndarray:
+    """Per-user SINR without precoding: every beam interferes at full power.
+
+    Computed one `channel._user_blocks` block of users at a time, so beside
+    the result it holds one block's |h|^2 (about 2 MiB), not a float per
+    channel coefficient.
+    """
+    h = np.atleast_2d(np.asarray(user_vectors, dtype=complex))
+    b = np.atleast_1d(np.asarray(serving_beam, dtype=int))
+    sinr = np.empty(len(h))
+    for s in _user_blocks(*h.shape):
+        sinr[s] = _sinr_without_precoding(h[s], b[s], p_tx)
+    return sinr

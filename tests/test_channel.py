@@ -22,6 +22,7 @@ from beamsim.channel import (
 from beamsim import engine
 from beamsim.engine import build_iteration, draw_iteration
 from beamsim.clustering import cluster_means
+from beamsim.precoding import nonprecoded_sinr
 from beamsim.scenario import config_from_mapping
 
 from conftest import bundled_scenario
@@ -281,6 +282,13 @@ def channel_matrix_out_of_place(user_lat, user_lon, slant_m, user_beam_idx, rf,
     return h * np.exp(-1j * phases[np.asarray(user_beam_idx, dtype=int)])[:, None]
 
 
+def nonprecoded_sinr_one_pass(h, serving_beam, p_tx):
+    """The SINRs without precoding as computed before they were split into blocks."""
+    g = np.abs(h) ** 2 * p_tx
+    sig = g[np.arange(len(h)), serving_beam]
+    return sig / (g.sum(axis=1) - sig + 1.0)
+
+
 def iteration0_inputs(scenario):
     """channel_matrix's arguments for iteration 0 of a scenario, as the engine draws them."""
     cfg = scenario.config
@@ -292,36 +300,80 @@ def iteration0_inputs(scenario):
     return (dep.lat, dep.lon, dep.slant, dep.beam_idx, rf, sat), phases
 
 
-@pytest.mark.parametrize("layout", ["beams_hex7.json", "beams_hex19.json",
-                                    "beams_europe71.json"])
-def test_in_place_synthesis_is_bit_identical(layout):
-    scenario = bundled_scenario(layout)
-    args, phases = iteration0_inputs(scenario)
-    for mode in ("per-antenna", "per-beam"):
-        cfg = replace(scenario.config, phase_mode=mode)
-        h = channel_matrix(*args, cfg, phases)
-        assert h.flags.c_contiguous
-        np.testing.assert_array_equal(h, channel_matrix_out_of_place(*args, cfg, phases))
+def split_into_blocks(monkeypatch, n_users, n_beams, block_users):
+    """Make `_user_blocks` cut `block_users` users per block, and check that the
+    last of at least three blocks is ragged."""
+    # not a multiple of N_B: the block size is rounded down to whole users
+    monkeypatch.setattr(channel, "_BLOCK_VALUES", block_users * n_beams + n_beams - 1)
+    sizes = [len(range(n_users)[s]) for s in channel._user_blocks(n_users, n_beams)]
+    assert sum(sizes) == n_users
+    assert len(sizes) >= 3 and sizes[0] == block_users and 0 < sizes[-1] < block_users
 
 
-def test_channel_synthesis_holds_one_temporary(scenario19):
-    # the float buffer (half the result's bytes) beside the result, plus
-    # per-column and per-user vectors: about 1.7x, where a new array per
-    # step took about 4.1x
-    args, phases = iteration0_inputs(scenario19)
+def traced_peak(fn):
+    """fn()'s result and the peak of the memory traced while it ran, above the start."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        h = channel_matrix(*args, scenario19.config, phases)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert h.shape == (len(args[0]), 19)
-    assert peak < 2 * h.nbytes
+
+
+@pytest.mark.parametrize("layout, block_users", [
+    pytest.param(layout, None, id=layout)
+    for layout in ("beams_hex7.json", "beams_hex19.json", "beams_europe71.json")
+] + [
+    pytest.param("beams_hex7.json", 997, id="beams_hex7.json-997-user-blocks"),
+    pytest.param("beams_hex19.json", 2503, id="beams_hex19.json-2503-user-blocks"),
+])
+def test_in_place_synthesis_is_bit_identical(layout, block_users, monkeypatch):
+    scenario = bundled_scenario(layout)
+    args, phases = iteration0_inputs(scenario)
+    if block_users:
+        split_into_blocks(monkeypatch, len(args[0]), scenario.n_beams, block_users)
+    for mode in ("per-antenna", "per-beam"):
+        cfg = replace(scenario.config, phase_mode=mode)
+        h = channel_matrix(*args, cfg, phases)
+        assert h.flags.c_contiguous
+        np.testing.assert_array_equal(h, channel_matrix_out_of_place(*args, cfg, phases))
+        p_tx = cfg.tx_power(scenario.n_beams)
+        np.testing.assert_array_equal(nonprecoded_sinr(h, args[3], p_tx),
+                                      nonprecoded_sinr_one_pass(h, args[3], p_tx))
+
+
+def test_channel_synthesis_holds_one_temporary(scenario19, monkeypatch):
+    # beside h and the users' unit vectors (3 floats each): one block's float
+    # buffer, numpy's 128 KiB cast buffer and per-block vectors, about 1.8
+    # blocks here; a second block's buffer held over would make 2.7, and a
+    # float buffer of all users (half of h) 3.1
+    args, phases = iteration0_inputs(scenario19)
+    n_users = len(args[0])
+    split_into_blocks(monkeypatch, n_users, 19, 2503)
+    block_bytes = 8 * channel._BLOCK_VALUES
+    h, peak = traced_peak(lambda: channel_matrix(*args, scenario19.config, phases))
+    assert h.shape == (n_users, 19)
+    assert peak < h.nbytes + 3 * 8 * n_users + 2.25 * block_bytes
+    sinr, peak = traced_peak(lambda: nonprecoded_sinr(h, args[3], 1.0))
+    assert peak < sinr.nbytes + 1.5 * block_bytes
+
+
+def test_draw_holds_the_channel_and_one_block(scenario19, monkeypatch):
+    # the draw's peak is h, the per-user arrays it returns or synthesis uses
+    # and the blocks of channel synthesis, as above; the deployment stage
+    # peaks lower
+    split_into_blocks(monkeypatch, 7702, 19, 2503)
+    draw, peak = traced_peak(
+        lambda: draw_iteration(scenario19, scenario19.config.user_density, 0))
+    per_user = (sum(a.nbytes for a in vars(draw.deployment).values()) + draw.nonprec.nbytes
+                + 3 * 8 * 7702)
+    assert draw.h.shape == (7702, 19)
+    assert peak < draw.h.nbytes + per_user + 2.25 * 8 * channel._BLOCK_VALUES
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import os
 
 import numpy as np
@@ -368,6 +369,23 @@ def test_thread_count_independence(small_scenario, tmp_path):
         for path in t1:
             assert t1[path] == t2[path], f"{name}: {path} differs across thread counts"
     assert sum(path.startswith("channel_map") for path in t1) == 2
+
+
+def worker_start(names):
+    """How a worker process was started, and the named variables it sees."""
+    return type(multiprocessing.current_process()).__name__, [os.getenv(n) for n in names]
+
+
+def test_workers_start_with_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    names = engine._BLAS_THREAD_VARIABLES
+    with engine._worker_pool(2) as pool:
+        started = list(pool.map(worker_start, [names] * 4))
+    # spawned, so numpy loads its BLAS in the worker, after the variables are set
+    assert started == [("SpawnProcess", ["1"] * len(names))] * 4
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    assert "MKL_NUM_THREADS" not in os.environ
 
 
 def test_policies_share_deployment(small_scenario):
