@@ -19,7 +19,6 @@ from .scenario import (
     ModCodTable,
     Scenario,
     ScenarioConfig,
-    UserTerminal,
     deploy_users,
     load_beams,
     load_config,
@@ -56,6 +55,5 @@ __all__ = [
     "ScenarioConfig",
     "ScheduleSequence",
     "SectorGrid",
-    "UserTerminal",
     "ValidationError",
 ]

@@ -119,10 +119,11 @@ def cmd_sectorize(args) -> int:
     scenario = _load_scenario(args)
     grid = scenario.config.sector_grid()
     dep = engine.deploy(scenario, scenario.config.user_density, 0)
-    phi = np.empty(len(dep.lat))
-    radius = np.empty(len(dep.lat))
-    for bi, beam in enumerate(scenario.beams):
-        sel = dep.beam_idx == bi
+    phi = np.empty(len(dep))
+    radius = np.empty(len(dep))
+    counts = np.bincount(dep.beam_idx)          # users come beam after beam
+    for beam, start, n in zip(scenario.beams, np.cumsum(counts) - counts, counts):
+        sel = slice(start, start + n)
         x, y = geometry.project_tangent(beam.center_lat, beam.center_lon,
                                         dep.lat[sel], dep.lon[sel])
         phi[sel], radius[sel] = geometry.normalized_polar_from_xy(beam.boundary_xy, x, y)
@@ -136,6 +137,7 @@ def cmd_sectorize(args) -> int:
 
 def cmd_cluster(args) -> int:
     scenario = _load_scenario(args)
+    check_density_supports_clusters(scenario)
     cfg = scenario.config
     draw = engine.draw_iteration(scenario, cfg.user_density, 0)
     state = engine.build_iteration(scenario, cfg.cluster_size, draw)

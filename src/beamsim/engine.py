@@ -51,21 +51,10 @@ def iteration_seed(master_seed: int, iteration: int, purpose: int) -> np.random.
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Deployment:
-    """One iteration's users as arrays indexed by user id."""
-
-    lat: np.ndarray
-    lon: np.ndarray
-    slant: np.ndarray         # slant range, m
-    beam_id: np.ndarray       # serving beam id
-    beam_idx: np.ndarray      # index of the serving beam in scenario.beams
-
-
-@dataclass
 class IterationDraw:
     """One (density, iteration)'s users and channel, shared by every K and policy."""
 
-    deployment: Deployment
+    deployment: np.recarray   # deploy_users' records, a row per user, beam after beam
     h: np.ndarray             # (n_users, N_B) channel matrix with the iteration's phases
     deployment_hash: str
     channel_hash: str
@@ -101,7 +90,7 @@ class IterationResult:
     deployment_hash: str
     channel_hash: str
     per_policy: dict
-    channel_map: tuple | None = None      # the draw's (Deployment, |h| in dB) when asked for
+    channel_map: tuple | None = None      # the draw's (deployment, |h| in dB) when asked for
 
 
 _CELL_ERRORS = (ValidationError, GeometryError, np.linalg.LinAlgError)
@@ -111,22 +100,11 @@ def _db(x):
     return 10.0 * np.log10(np.maximum(x, 1e-300))
 
 
-def deploy(scenario: Scenario, density: float, iteration: int) -> Deployment:
+def deploy(scenario: Scenario, density: float, iteration: int) -> np.recarray:
     """The users of one iteration, drawn from its deployment stream."""
-    users = deploy_users(
-        scenario.beams, density,
-        iteration_seed(scenario.config.master_seed, iteration, _SEED_DEPLOY),
-        scenario.satellite(),
-    )
-    beam_id = np.array([u.beam_id for u in users])
-    index = {b.beam_id: i for i, b in enumerate(scenario.beams)}
-    return Deployment(
-        lat=np.array([u.lat for u in users]),
-        lon=np.array([u.lon for u in users]),
-        slant=np.array([u.slant_range_m for u in users]),
-        beam_id=beam_id,
-        beam_idx=np.array([index[b] for b in beam_id]),
-    )
+    return deploy_users(scenario.beams, density,
+                        iteration_seed(scenario.config.master_seed, iteration, _SEED_DEPLOY),
+                        scenario.satellite())
 
 
 def draw_iteration(scenario: Scenario, density: float, iteration: int) -> IterationDraw:
@@ -139,14 +117,14 @@ def draw_iteration(scenario: Scenario, density: float, iteration: int) -> Iterat
     )
     satellite = scenario.satellite()
     rf = chn.beam_rf_parameters(scenario.beams, satellite, cfg.tx_aperture_efficiency)
-    h = chn.channel_matrix(dep.lat, dep.lon, dep.slant, dep.beam_idx, rf, satellite, cfg,
-                           phases)
+    h = chn.channel_matrix(dep.lat, dep.lon, dep.slant_range_m, dep.beam_idx, rf, satellite,
+                           cfg, phases)
     return IterationDraw(
         deployment=dep,
         h=h,
         # hashed from the arrays' own buffers, without a bytes copy
         deployment_hash=hashlib.sha256(
-            np.column_stack([dep.lat, dep.lon, dep.slant]).data
+            np.column_stack([dep.lat, dep.lon, dep.slant_range_m]).data
         ).hexdigest(),
         channel_hash=hashlib.sha256(np.ascontiguousarray(h).data).hexdigest(),
         nonprec=precoding.nonprecoded_sinr(h, dep.beam_idx, cfg.tx_power(len(scenario.beams))),
@@ -159,15 +137,18 @@ def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) 
     dep, h = draw.deployment, draw.h
 
     # per-beam clustering in the configured similarity space; MaxDist fills
-    # every cluster of a beam but its last, the only row of the table padded
+    # every cluster of a beam but its last, the only row of the table padded.
+    # Users come beam after beam, so each beam's users are one slice of rows.
     n_beams = len(scenario.beams)
-    n_clusters = -(-np.bincount(dep.beam_idx, minlength=n_beams) // cluster_size)
+    n_users = np.bincount(dep.beam_idx, minlength=n_beams)
+    first_user = np.cumsum(n_users) - n_users
+    n_clusters = -(-n_users // cluster_size)
     first_cluster = np.cumsum(n_clusters) - n_clusters
     clusters = np.full((n_clusters.sum(), cluster_size), -1)
     sector = np.empty(len(clusters), dtype=int)
     grid = cfg.sector_grid()
     for bi, beam in enumerate(scenario.beams):
-        sel = np.flatnonzero(dep.beam_idx == bi)
+        sel = slice(first_user[bi], first_user[bi] + n_users[bi])
         x, y = geometry.project_tangent(beam.center_lat, beam.center_lon,
                                         dep.lat[sel], dep.lon[sel])
         xy = np.column_stack([x, y])
@@ -177,7 +158,7 @@ def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) 
             feats = clustering.channel_features(h[sel])
         local = clustering.max_dist_partition(feats, cluster_size, beam.beam_id)
         rows = slice(first_cluster[bi], first_cluster[bi] + n_clusters[bi])
-        clusters[rows] = np.where(local >= 0, sel[local], -1)
+        clusters[rows] = np.where(local >= 0, first_user[bi] + local, -1)
         bary = clustering.cluster_means(xy, local)
         phi, radius = geometry.normalized_polar_from_xy(beam.boundary_xy, *bary.T, clamp=True)
         sector[rows] = grid.assign(phi, radius)
@@ -461,7 +442,7 @@ def _write_iterations(cell, results, report):
     return paths
 
 
-def write_channel_map(out_dir, density, dep: Deployment, magnitude_db):
+def write_channel_map(out_dir, density, dep, magnitude_db):
     """Debug dump of iteration 0's |h| in dB, a row per (user, antenna); K plays no part.
 
     Written `_CHUNK_ROWS // N_B` users at a time, so the expanded columns

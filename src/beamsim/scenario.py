@@ -299,6 +299,8 @@ def beams_from_records(records) -> list[Beam]:
             beam_id = _integer(beam_id)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"beam id must be an integer, got {beam_id!r}") from exc
+        if beam_id < 0:     # it keys the beam's deployment stream
+            raise ValidationError(f"beam id must be non-negative, got {beam_id}")
         if beam_id in seen:
             raise ValidationError(f"duplicate beam id {beam_id} in layout")
         if not isinstance(center, (list, tuple)) or len(center) != 2:
@@ -343,30 +345,29 @@ def load_beams(source) -> list[Beam]:
 # Users
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class UserTerminal:
-    user_id: int
-    beam_id: int
-    lat: float
-    lon: float
-    slant_range_m: float
+# One record per user; a user's id is its row.
+USER_DTYPE = np.dtype([("beam_id", np.int64), ("beam_idx", np.int64), ("lat", float),
+                       ("lon", float), ("slant_range_m", float)])
 
 
-def deploy_users(beams, density, seed, satellite_ecef_km) -> list[UserTerminal]:
+def deploy_users(beams, density, seed, satellite_ecef_km) -> np.recarray:
     """Deploy round(density * area) users i.i.d. uniform over each beam polygon.
 
-    Sampling rejects bounding-box draws that fall outside the beam boundary.
-    Each beam derives its own RNG stream from (seed, beam_id), so the result
-    is reproducible and independent of beam iteration order.
+    Returns one record per user (`USER_DTYPE`: serving beam id and its index
+    in `beams`, lat/lon in degrees, slant range in m), beam after beam in
+    the order of `beams`, so beam b's users are one slice.  Sampling rejects
+    bounding-box draws that fall outside the beam boundary.  Each beam
+    derives its own RNG stream from (seed, beam_id), so the result is
+    reproducible and independent of beam iteration order.
     """
     if not density > 0:
         raise ValidationError("user density must be positive")
     sat = np.asarray(satellite_ecef_km, dtype=float)
-    users = []
-    user_id = 0
+    counts = [beam.user_count(density) for beam in beams]
+    users = np.recarray(sum(counts), dtype=USER_DTYPE)
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    for beam in beams:
-        n = beam.user_count(density)
+    start = 0
+    for bi, (beam, n) in enumerate(zip(beams, counts)):
         if n < 1:
             raise ValidationError(
                 f"beam {beam.beam_id}: density {density} users/km^2 over "
@@ -393,12 +394,11 @@ def deploy_users(beams, density, seed, satellite_ecef_km) -> list[UserTerminal]:
         slant_km = np.linalg.norm(ecef - sat, axis=-1)
         if np.any(slant_km < GEO_ALTITUDE_KM - 1e-6):
             raise ValidationError(f"beam {beam.beam_id}: slant range below GEO altitude")
-        for i in range(n):
-            users.append(
-                UserTerminal(user_id, beam.beam_id, float(lat[i]), float(lon[i]),
-                             float(slant_km[i] * 1000.0))
-            )
-            user_id += 1
+        block = users[start:start + n]
+        block.beam_id, block.beam_idx = beam.beam_id, bi
+        block.lat, block.lon = lat, lon
+        block.slant_range_m = slant_km * 1000.0
+        start += n
     return users
 
 

@@ -297,7 +297,7 @@ def iteration0_inputs(scenario):
         engine.iteration_seed(cfg.master_seed, 0, engine._SEED_PHASES)))
     sat = scenario.satellite()
     rf = beam_rf_parameters(scenario.beams, sat, cfg.tx_aperture_efficiency)
-    return (dep.lat, dep.lon, dep.slant, dep.beam_idx, rf, sat), phases
+    return (dep.lat, dep.lon, dep.slant_range_m, dep.beam_idx, rf, sat), phases
 
 
 def split_into_blocks(monkeypatch, n_users, n_beams, block_users):
@@ -370,8 +370,7 @@ def test_draw_holds_the_channel_and_one_block(scenario19, monkeypatch):
     split_into_blocks(monkeypatch, 7702, 19, 2503)
     draw, peak = traced_peak(
         lambda: draw_iteration(scenario19, scenario19.config.user_density, 0))
-    per_user = (sum(a.nbytes for a in vars(draw.deployment).values()) + draw.nonprec.nbytes
-                + 3 * 8 * 7702)
+    per_user = draw.deployment.nbytes + draw.nonprec.nbytes + 3 * 8 * 7702
     assert draw.h.shape == (7702, 19)
     assert peak < draw.h.nbytes + per_user + 2.25 * 8 * channel._BLOCK_VALUES
 

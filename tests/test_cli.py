@@ -44,6 +44,27 @@ def test_validate_failure_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_negative_beam_id(tmp_path, capsys):
+    records = json.loads(Path(hex7()).read_text())
+    records[0]["id"] = -1
+    layout = tmp_path / "beams.json"
+    layout.write_text(json.dumps(records))
+    assert main(["validate", "--beams", str(layout)]) == 1
+    assert "beam id must be non-negative, got -1" in capsys.readouterr().err
+
+
+def test_cluster_applies_the_cluster_size_check(tmp_path, capsys):
+    # hex7 beams round to 41 users at this density, fewer than K = 64; validate
+    # and run refuse the config, and so must the partition dump
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(table_config(user_density=2.5e-4, cluster_size=64)))
+    for command in ("validate", "cluster"):
+        assert main([command, "--config", str(config), "--beams", hex7()]) == 1
+        captured = capsys.readouterr()
+        assert "fewer than the cluster size 64" in captured.err
+        assert captured.out == ""
+
+
 def test_run_both_policies_paired(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
@@ -199,7 +220,7 @@ def test_channel_map_matches_public_api(small_config, tmp_path):
     assert len(rows) == n_users * n_beams
     rows = rows.reshape(n_users, n_beams, 6)
     assert np.array_equal(rows[:, :, 0], np.repeat([[u.beam_id] for u in users], n_beams, 1))
-    assert np.array_equal(rows[:, :, 1], np.repeat([[u.user_id] for u in users], n_beams, 1))
+    assert np.array_equal(rows[:, :, 1], np.repeat(np.arange(n_users)[:, None], n_beams, 1))
     assert np.allclose(rows[:, 0, 2], [u.lat for u in users], rtol=1e-9)
     assert np.allclose(rows[:, 0, 3], [u.lon for u in users], rtol=1e-9)
     assert np.array_equal(rows[:, :, 4], np.tile(np.arange(n_beams), (n_users, 1)))

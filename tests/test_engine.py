@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from beamsim import clustering, engine, precoding, scheduling
+from beamsim import clustering, engine, geometry, precoding, scheduling
 from beamsim.errors import ValidationError
 from beamsim.link_adaptation import aggregate, cluster_rates
 
@@ -265,12 +265,36 @@ def test_gsa_frames_match_sector_bound(small_scenario):
     assert len(sched["beam"]) == len(data.sectors) * n_beams
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_euclidean_similarity_clusters_tangent_plane_positions(k):
+    # each beam's block of the table is MaxDist on its users' tangent-plane
+    # xy, as global user ids; K = 3 leaves each beam's last cluster short
+    scenario = bundled_scenario("beams_hex7.json", user_density=2.5e-4,
+                                clustering_similarity="euclidean")
+    draw = engine.draw_iteration(scenario, 2.5e-4, 0)
+    state = engine.build_iteration(scenario, k, draw)
+    dep = draw.deployment
+    for bi, beam in enumerate(scenario.beams):
+        users = np.flatnonzero(dep.beam_idx == bi)
+        x, y = geometry.project_tangent(beam.center_lat, beam.center_lon,
+                                        dep.lat[users], dep.lon[users])
+        local = clustering.max_dist_partition(np.column_stack([x, y]), k, beam.beam_id)
+        first, n = state.first_cluster[bi], state.n_clusters[bi]
+        assert n == len(local)
+        assert np.array_equal(state.clusters[first:first + n],
+                              np.where(local >= 0, users[local], -1))
+    # the configured space decides: channel-space MaxDist partitions otherwise
+    in_channel_space = bundled_scenario("beams_hex7.json", user_density=2.5e-4)
+    other = engine.build_iteration(in_channel_space, k, draw)
+    assert not np.array_equal(other.clusters, state.clusters)
+
+
 def test_draw_hashes_are_digests_of_the_arrays_bytes(small_scenario):
     draw = engine.draw_iteration(small_scenario, 2.5e-4, 0)
     dep = draw.deployment
     assert draw.channel_hash == hashlib.sha256(draw.h.tobytes()).hexdigest()
     assert draw.deployment_hash == hashlib.sha256(
-        np.column_stack([dep.lat, dep.lon, dep.slant]).tobytes()).hexdigest()
+        np.column_stack([dep.lat, dep.lon, dep.slant_range_m]).tobytes()).hexdigest()
 
 
 def test_channel_map_blocks_join_seamlessly(small_scenario, tmp_path, monkeypatch):

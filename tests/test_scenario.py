@@ -254,6 +254,13 @@ def test_non_integer_beam_id_rejected(beam_id):
         beams_from_records([{**HEX_RECORD, "id": 2}, {**HEX_RECORD, "id": beam_id}])
 
 
+@pytest.mark.parametrize("beam_id", [-1, "-4"])
+def test_negative_beam_id_rejected(beam_id):
+    # a beam id keys its deployment stream, which takes non-negative keys only
+    with pytest.raises(ValidationError, match=r"beam id must be non-negative, got -\d"):
+        beams_from_records([{**HEX_RECORD, "id": beam_id}])
+
+
 def test_beam_id_string_is_converted_before_the_duplicate_check():
     assert beams_from_records([{**HEX_RECORD, "id": "7"}])[0].beam_id == 7
     with pytest.raises(ValidationError, match="duplicate beam id 2"):
@@ -310,15 +317,32 @@ def test_deployment_deterministic_and_inside(scenario7):
     sat = scenario7.satellite()
     a = deploy_users(scenario7.beams, 5e-4, 1234, sat)
     b = deploy_users(scenario7.beams, 5e-4, 1234, sat)
-    assert a == b  # bit-exact positions via the frozen dataclass equality
+    assert a.tobytes() == b.tobytes()  # bit-exact records
     c = deploy_users(scenario7.beams, 5e-4, 1235, sat)
-    assert a != c
+    assert a.tobytes() != c.tobytes()
     by_id = {bm.beam_id: bm for bm in scenario7.beams}
     for u in a:
         beam = by_id[u.beam_id]
         x, y = geometry.project_tangent(beam.center_lat, beam.center_lon, u.lat, u.lon)
         assert bool(geometry.point_in_polygon(beam.boundary_xy, float(x), float(y)))
         assert u.slant_range_m > 35_786e3
+
+    # the record contract: one record per user, beam after beam in the order
+    # of `beams`, and a record's fields read as the columns do
+    counts = [beam.user_count(5e-4) for beam in scenario7.beams]
+    assert len(a) == sum(counts)
+    assert np.array_equal(a.beam_idx, np.repeat(np.arange(len(counts)), counts))
+    assert np.array_equal(a.beam_id, np.repeat([bm.beam_id for bm in scenario7.beams], counts))
+    for name in ("beam_id", "beam_idx", "lat", "lon", "slant_range_m"):
+        assert np.array_equal([getattr(u, name) for u in a], getattr(a, name))
+    # beams listed in another order come out in that order, each with the same users
+    flipped = deploy_users(scenario7.beams[::-1], 5e-4, 1234, sat)
+    assert np.array_equal(flipped.beam_id,
+                          np.repeat([bm.beam_id for bm in scenario7.beams[::-1]], counts[::-1]))
+    for beam_id in by_id:
+        for name in ("lat", "lon", "slant_range_m"):
+            assert np.array_equal(getattr(a, name)[a.beam_id == beam_id],
+                                  getattr(flipped, name)[flipped.beam_id == beam_id])
 
 
 def test_mean_count_matches_density(scenario7):
