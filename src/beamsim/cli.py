@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: run (Monte Carlo experiment), validate (check inputs only),
-sectorize (dump per-user sector assignments), cluster (dump the partitions
-run uses in iteration 0), report (print a run directory's summary and
-gains tables).  Exit codes: 0 on success, 1 on runtime failure (for run:
-when any cell failed), 2 on usage errors.
+cluster (dump the clusters and sectors run uses in iteration 0), report
+(print a run directory's summary and gains tables).  Exit codes: 0 on
+success, 1 on runtime failure (for run: when any cell failed), 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__, engine, geometry
+from . import __version__, engine
 from .errors import GeometryError, ValidationError
 from .scenario import (
     Scenario,
@@ -115,26 +115,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_sectorize(args) -> int:
-    scenario = _load_scenario(args)
-    grid = scenario.config.sector_grid()
-    dep = engine.deploy(scenario, scenario.config.user_density, 0)
-    phi = np.empty(len(dep))
-    radius = np.empty(len(dep))
-    counts = np.bincount(dep.beam_idx)          # users come beam after beam
-    for beam, start, n in zip(scenario.beams, np.cumsum(counts) - counts, counts):
-        sel = slice(start, start + n)
-        x, y = geometry.project_tangent(beam.center_lat, beam.center_lon,
-                                        dep.lat[sel], dep.lon[sel])
-        phi[sel], radius[sel] = geometry.normalized_polar_from_xy(beam.boundary_xy, x, y)
-    sector = grid.assign(phi, radius)
-    print("beam,user,lat,lon,phi,r_norm,sector")
-    rows = zip(dep.beam_id, dep.lat, dep.lon, phi, radius, sector)
-    for user, (beam_id, lat, lon, p, r, q) in enumerate(rows):
-        print(f"{beam_id},{user},{lat:.6f},{lon:.6f},{p:.6f},{r:.6f},{q}")
-    return 0
-
-
 def cmd_cluster(args) -> int:
     scenario = _load_scenario(args)
     check_density_supports_clusters(scenario)
@@ -144,10 +124,14 @@ def cmd_cluster(args) -> int:
     dep = draw.deployment
     rows, slots = np.nonzero(state.clusters >= 0)
     users = state.clusters[rows, slots]
-    cluster = rows - state.first_cluster[dep.beam_idx[users]]
-    print("beam,cluster,user,lat,lon")
-    for beam_id, ci, m in zip(dep.beam_id[users], cluster, users):
-        print(f"{beam_id},{ci},{m},{dep.lat[m]:.6f},{dep.lon[m]:.6f}")
+    sys.stdout.writelines(engine.table_blocks({
+        "beam": dep.beam_id[users],
+        "cluster": rows - state.first_cluster[dep.beam_idx[users]],
+        "sector": state.sector[rows],
+        "user": users,
+        "lat": dep.lat[users],
+        "lon": dep.lon[users],
+    }))
     return 0
 
 
@@ -213,11 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("sectorize", help="dump per-user sector assignments as CSV")
-    common(p)
-    p.set_defaults(func=cmd_sectorize)
-
-    p = sub.add_parser("cluster", help="dump per-beam user partitions as CSV")
+    p = sub.add_parser("cluster", help="dump iteration 0's clusters and their sectors as CSV")
     common(p)
     p.set_defaults(func=cmd_cluster)
 
@@ -234,7 +214,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
-        # reader closed the pipe (e.g. `beamsim sectorize | head`); exit quietly
+        # reader closed the pipe (e.g. `beamsim cluster | head`); exit quietly
         try:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except (OSError, ValueError):

@@ -100,22 +100,16 @@ def _db(x):
     return 10.0 * np.log10(np.maximum(x, 1e-300))
 
 
-def deploy(scenario: Scenario, density: float, iteration: int) -> np.recarray:
-    """The users of one iteration, drawn from its deployment stream."""
-    return deploy_users(scenario.beams, density,
-                        iteration_seed(scenario.config.master_seed, iteration, _SEED_DEPLOY),
-                        scenario.satellite())
-
-
 def draw_iteration(scenario: Scenario, density: float, iteration: int) -> IterationDraw:
     """Deploy one iteration's users and synthesize their channels."""
     cfg = scenario.config
-    dep = deploy(scenario, density, iteration)
+    satellite = scenario.satellite()
+    dep = deploy_users(scenario.beams, density,
+                       iteration_seed(cfg.master_seed, iteration, _SEED_DEPLOY), satellite)
     phases = chn.draw_phases(
         len(scenario.beams),
         np.random.default_rng(iteration_seed(cfg.master_seed, iteration, _SEED_PHASES)),
     )
-    satellite = scenario.satellite()
     rf = chn.beam_rf_parameters(scenario.beams, satellite, cfg.tx_aperture_efficiency)
     h = chn.channel_matrix(dep.lat, dep.lon, dep.slant_range_m, dep.beam_idx, rf, satellite,
                            cfg, phases)
@@ -378,23 +372,36 @@ def _column_text(column: np.ndarray) -> list:
     raise TypeError(f"no CSV format for dtype {column.dtype}")
 
 
-def _write_table(path, columns, append=False):
-    """Write {column name: 1-D values} as CSV, `_CHUNK_ROWS` rows at a time.
+def table_blocks(columns):
+    """{column name: 1-D values} as CSV text: the header line, then blocks of
+    `_CHUNK_ROWS` rows.
 
     Integers and bools are written as integers, floats to 10 significant
-    digits (`nan` for NaN), strings as they are.  `append` adds the rows to
-    the file without a header; appended tables join as one.
+    digits (`nan` for NaN), strings as they are.  The columns' lengths are
+    checked when the header is taken.
     """
     arrays = [np.asarray(c) for c in columns.values()]
     n_rows = len(arrays[0])
     if any(len(a) != n_rows for a in arrays):
-        raise ValueError(f"{path}: columns differ in length")
+        raise ValueError(f"columns differ in length: {[len(a) for a in arrays]}")
+    yield ",".join(columns) + "\n"
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        fields = [_column_text(a[start:start + _CHUNK_ROWS]) for a in arrays]
+        yield "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
+def _write_table(path, columns, append=False):
+    """Write {column name: 1-D values} as CSV, formatted by `table_blocks`.
+
+    `append` adds the rows to the file without a header; appended tables
+    join as one.
+    """
+    blocks = table_blocks(columns)
+    header = next(blocks)           # checks the columns before the file is opened
     with open(path, "a" if append else "w") as fh:
         if not append:
-            fh.write(",".join(columns) + "\n")
-        for start in range(0, n_rows, _CHUNK_ROWS):
-            fields = [_column_text(a[start:start + _CHUNK_ROWS]) for a in arrays]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+            fh.write(header)
+        fh.writelines(blocks)
 
 
 def _append_iteration(cell, result):
@@ -614,6 +621,10 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
             with open(path, "w") as fh:
                 fh.write("\n".join(diagnostics) + "\n")
             artifacts.append(path)
+        for name in ("gains.csv", "diagnostics.txt"):
+            path = os.path.join(out_dir, name)
+            if path not in artifacts and os.path.exists(path):
+                os.remove(path)         # an earlier run's, into the same directory
         manifest.artifacts = sorted(os.path.relpath(p, out_dir) for p in artifacts)
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
             fh.write(manifest.to_json() + "\n")

@@ -23,7 +23,7 @@ from beamsim import engine
 from beamsim.engine import build_iteration, draw_iteration
 from beamsim.clustering import cluster_means
 from beamsim.precoding import nonprecoded_sinr
-from beamsim.scenario import config_from_mapping
+from beamsim.scenario import config_from_mapping, deploy_users
 
 from conftest import bundled_scenario
 from test_scenario import table_config
@@ -292,10 +292,11 @@ def nonprecoded_sinr_one_pass(h, serving_beam, p_tx):
 def iteration0_inputs(scenario):
     """channel_matrix's arguments for iteration 0 of a scenario, as the engine draws them."""
     cfg = scenario.config
-    dep = engine.deploy(scenario, cfg.user_density, 0)
+    sat = scenario.satellite()
+    dep = deploy_users(scenario.beams, cfg.user_density,
+                       engine.iteration_seed(cfg.master_seed, 0, engine._SEED_DEPLOY), sat)
     phases = draw_phases(scenario.n_beams, np.random.default_rng(
         engine.iteration_seed(cfg.master_seed, 0, engine._SEED_PHASES)))
-    sat = scenario.satellite()
     rf = beam_rf_parameters(scenario.beams, sat, cfg.tx_aperture_efficiency)
     return (dep.lat, dep.lon, dep.slant_range_m, dep.beam_idx, rf, sat), phases
 

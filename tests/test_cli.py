@@ -1,5 +1,8 @@
+import argparse
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,8 +14,8 @@ import pytest
 import yaml
 
 import beamsim
-from beamsim import channel, engine
-from beamsim.cli import data_path, main
+from beamsim import channel, engine, geometry
+from beamsim.cli import build_parser, data_path, main
 from beamsim.engine import build_iteration, draw_iteration
 from beamsim.geometry import satellite_ecef_km
 
@@ -102,24 +105,49 @@ def test_missing_file_runtime_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_sectorize_dumps_assignments(small_config, capsys):
-    assert main(["sectorize", "--config", small_config, "--beams", hex7()]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "beam,user,lat,lon,phi,r_norm,sector"
-    assert len(lines) > 100
-    sectors = {int(line.split(",")[-1]) for line in lines[1:]}
-    assert sectors <= set(range(10))  # the table grid has 10 sectors
+@pytest.mark.parametrize("layout", ["beams_hex7.json", "beams_hex19.json",
+                                    "beams_europe71.json"])
+def test_cluster_sectors_are_the_schedulers(layout, capsys):
+    # each member carries the sector GSA schedules its cluster in: the sector
+    # of the cluster's barycentre, not of the user's own position
+    assert main(["cluster", "--beams", str(data_path(layout))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "beam,cluster,sector,user,lat,lon"
+    dump = np.array([[int(v) for v in line.split(",")[:4]] for line in lines[1:]])
+    beam_id, cluster, sector, user = dump.T
+    scenario = bundled_scenario(layout)
+    cfg = scenario.config
+    draw = draw_iteration(scenario, cfg.user_density, 0)
+    state = build_iteration(scenario, cfg.cluster_size, draw)
+    dep = draw.deployment
+    assert np.array_equal(beam_id, dep.beam_id[user])
+    rows = state.first_cluster[dep.beam_idx[user]] + cluster
+    assert np.all((state.clusters[rows] == user[:, None]).any(axis=1))
+    assert len(user) == state.cluster_sizes.sum()
+    assert np.array_equal(sector, state.sector[rows])
+    if layout != "beams_hex7.json":
+        return
+    # the barycentre's sector, recomputed cluster by cluster from the members' positions
+    grid = cfg.sector_grid()
+    for b, beam in enumerate(scenario.beams):
+        for c in np.unique(cluster[dep.beam_idx[user] == b]):
+            mine = (dep.beam_idx[user] == b) & (cluster == c)
+            members = user[mine]
+            x, y = geometry.project_tangent(beam.center_lat, beam.center_lon,
+                                            dep.lat[members], dep.lon[members])
+            phi, radius = geometry.normalized_polar_from_xy(
+                beam.boundary_xy, np.array([x.mean()]), np.array([y.mean()]), clamp=True)
+            assert set(sector[mine]) == {grid.assign(phi, radius)[0]}
 
 
-def test_sectorize_geometry_error_exit_one(small_config, monkeypatch, capsys):
-    import beamsim.geometry as geometry
+def test_cluster_geometry_error_exit_one(small_config, monkeypatch, capsys):
     from beamsim.errors import GeometryError
 
     def missing_ray(boundary_xy, phi):
         raise GeometryError(f"ray at phi={phi[0]:.6f} rad does not meet the beam boundary")
 
     monkeypatch.setattr(geometry, "ray_boundary_distance", missing_ray)
-    assert main(["sectorize", "--config", small_config, "--beams", hex7()]) == 1
+    assert main(["cluster", "--config", small_config, "--beams", hex7()]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ray at phi=")
     assert "Traceback" not in err
@@ -184,12 +212,12 @@ def test_cluster_dumps_partitions(capsys):
     state = build_iteration(scenario, cfg.cluster_size, draw)
     dep = draw.deployment
     expected = [
-        f"{beam.beam_id},{ci},{m},{dep.lat[m]:.6f},{dep.lon[m]:.6f}"
+        f"{beam.beam_id},{ci},{state.sector[first + ci]},{m},{dep.lat[m]:.10g},{dep.lon[m]:.10g}"
         for beam, first, n in zip(scenario.beams, state.first_cluster, state.n_clusters)
         for ci, cluster in enumerate(state.clusters[first:first + n])
         for m in cluster[cluster >= 0]
     ]
-    assert lines == ["beam,cluster,user,lat,lon"] + expected
+    assert lines == ["beam,cluster,sector,user,lat,lon"] + expected
 
 
 def test_channel_map_matches_public_api(small_config, tmp_path):
@@ -341,6 +369,42 @@ def test_report_reaggregates(small_config, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == text
 
 
+def test_rerun_removes_the_earlier_gains(small_config, tmp_path, capsys):
+    # a single-policy run writes no gains.csv, so report must not find the
+    # previous run's in the same directory
+    out = tmp_path / "out"
+    base = ["run", "--config", small_config, "--beams", hex7(), "--iterations", "1",
+            "--no-traces", "--out", str(out)]
+    assert main(base) == 0
+    assert (out / "gains.csv").exists()
+    assert main(base + ["--scheduler", "random", "--cluster-size", "1"]) == 0
+    assert not (out / "gains.csv").exists()
+    capsys.readouterr()
+    assert main(["report", "--out", str(out)]) == 0
+    assert "# gain" not in capsys.readouterr().out
+
+
+def test_rerun_removes_the_earlier_diagnostics(small_config, tmp_path):
+    out = tmp_path / "out"
+    base = ["run", "--config", small_config, "--beams", hex7(), "--iterations", "1",
+            "--no-traces", "--out", str(out)]
+    assert main(base + ["--cluster-size", "2,1000"]) == 1
+    assert (out / "diagnostics.txt").exists()
+    assert main(base + ["--cluster-size", "2"]) == 0
+    assert not (out / "diagnostics.txt").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert all((out / name).is_file() for name in manifest["artifacts"])
+
+
+def test_readme_lists_the_subcommands():
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (line,) = [line for line in readme.splitlines() if line.startswith("Subcommands:")]
+    assert re.findall(r"`([^`]+)`", line) == list(commands)
+
+
 def test_report_missing_dir(tmp_path, capsys):
     assert main(["report", "--out", "/nonexistent/run"]) == 1
     assert main(["report", "--out", str(tmp_path)]) == 1
@@ -349,17 +413,16 @@ def test_report_missing_dir(tmp_path, capsys):
 
 
 def test_broken_pipe_exits_quietly(small_config, monkeypatch, capsys):
-    import beamsim.cli as cli
+    class ClosedPipe(io.StringIO):
+        writes = 0
 
-    real_print = print
-
-    def exploding_print(*args, **kwargs):
-        if kwargs.get("file") is None:
+        def write(self, text):
+            ClosedPipe.writes += 1
             raise BrokenPipeError(32, "Broken pipe")
-        real_print(*args, **kwargs)
 
-    monkeypatch.setattr("builtins.print", exploding_print)
-    assert main(["sectorize", "--config", small_config, "--beams", hex7()]) == 0
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["cluster", "--config", small_config, "--beams", hex7()]) == 0
+    assert ClosedPipe.writes == 1
     assert capsys.readouterr().err == ""
 
 
