@@ -8,8 +8,8 @@ Each user sees one complex coefficient per transmitting antenna,
 with the receiver noise power P_Z = k T B folded in so downstream SINRs use
 unit noise.  G_bj is the transmit gain of antenna j toward the user, from
 the tapered-aperture Bessel pattern (evaluated with numpy alone).  theta is
-a random phase drawn once per Monte Carlo iteration, by default one phase
-per transmitting antenna.
+a random phase drawn once per Monte Carlo iteration, one phase per
+transmitting antenna.
 """
 
 from __future__ import annotations
@@ -203,8 +203,9 @@ def channel_matrix(user_lat, user_lon, slant_m, user_beam_idx, rf: BeamRf,
                    satellite_ecef_km, cfg, phases) -> np.ndarray:
     """(n_users, N_B) complex channel matrix for fixed users.
 
-    `user_beam_idx` holds each user's serving-beam index (0-based) and is only
-    consulted in the literal per-beam phase mode.  The users are synthesized
+    Column j is rotated by antenna j's phase `phases[j]`.  `user_beam_idx`
+    (each user's serving-beam index) is not read; it stays in the signature
+    for the benchmark oracle's positional call.  The users are synthesized
     one `_user_blocks` block at a time, straight into the returned `h`, so
     beside `h` the synthesis holds one block's float buffer (about
     `_BLOCK_VALUES` values, 2 MiB) whatever the number of users.  Every
@@ -219,14 +220,9 @@ def channel_matrix(user_lat, user_lon, slant_m, user_beam_idx, rf: BeamRf,
     users = users / np.linalg.norm(users, axis=-1, keepdims=True)
     n_beams = rf.boresights.shape[0]
     rotation = np.exp(-1j * np.asarray(phases, dtype=float))
-    if cfg.phase_mode == "per-antenna":
-        rotation = rotation[None, :]
-    else:  # literal per-receiving-beam reading
-        rotation = rotation[np.asarray(user_beam_idx, dtype=int), None]
-    rotation = np.broadcast_to(rotation, (len(d), n_beams))
     h = np.empty((len(d), n_beams), dtype=complex)
     for s in _user_blocks(len(d), n_beams):
         np.multiply(_amplitude(users[s], d[s], rf, cfg),
                     np.exp(-1j * (2.0 * math.pi / lam) * d[s])[:, None], out=h[s])
-        h[s] *= rotation[s]
+        h[s] *= rotation
     return h

@@ -293,15 +293,12 @@ def _precode_frames(scenario, state, rows, alpha, p_tx):
     precoded SINRs.  Every frame gets the arithmetic of its own 2-D
     precoding calls, to the last bit.
     """
-    cfg = scenario.config
     h, nonprec = state.draw.h, state.draw.nonprec
     n_frames, n_beams = rows.shape
     table = state.clusters[rows.ravel()]         # (f * N_B, K), -1 past a cluster's size
     eqvec = clustering.cluster_means(h, table)
     w = precoding.normalize_power(
-        precoding.mmse_precoder(eqvec.reshape(n_frames, n_beams, -1), alpha),
-        cfg.normalization_mode, p_tx,
-    )
+        precoding.mmse_precoder(eqvec.reshape(n_frames, n_beams, -1), alpha), "sum-power", p_tx)
     slots = table.reshape(n_frames, -1)          # a pad gathers a stand-in user, dropped below
     served = slots >= 0
     prec = precoding.precoded_sinr(h[slots], state.draw.deployment.beam_idx[slots], w, p_tx)
@@ -402,6 +399,10 @@ def _write_table(path, columns, append=False):
         if not append:
             fh.write(header)
         fh.writelines(blocks)
+
+
+def _cell_dir(out_dir, cluster_size, density):
+    return os.path.join(out_dir or "", f"K{cluster_size}_rho{density:g}")
 
 
 def _append_iteration(cell, result):
@@ -531,10 +532,10 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
     """Run the sweep; optionally write per-cell artifacts and a manifest.
 
     Returns (dict mapping (cluster_size, density) -> MetricsReport, manifest);
-    a cell listed more than once runs once.  A cell failing with a
-    validation, geometry or linear-algebra error is recorded as a
-    diagnostic, leaves no files and does not abort the sweep; any other
-    error propagates.
+    a cell listed more than once runs once.  Each cell's directory starts
+    empty.  A cell failing with a validation, geometry or linear-algebra
+    error is recorded as a diagnostic, leaves no directory and does not
+    abort the sweep; any other error propagates.
     """
     cfg = scenario.config
     if sweep is None:
@@ -559,6 +560,10 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
     written = {}      # cell -> the files its iteration 0 started
     reports, artifacts = {}, []
     write = bool(out_dir)
+    if write:
+        for cell_dir in (_cell_dir(out_dir, *cell) for cell in sweep):
+            if os.path.isdir(cell_dir):     # an earlier run's, into the same directory
+                shutil.rmtree(cell_dir)
     units = [(scenario, sizes[rho], rho, tuple(policies), it, write and write_traces,
               write and it == 0, write and channel_map and it == 0)
              for rho in sizes for it in range(iterations)]
@@ -568,7 +573,7 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
         for (_, _, density, *_), by_size in zip(units, done):
             for cluster_size, result in by_size.items():
                 cell = (cluster_size, density)
-                cell_dir = os.path.join(out_dir or "", f"K{cluster_size}_rho{density:g}")
+                cell_dir = _cell_dir(out_dir, *cell)
                 if cell in errors:
                     continue
                 if isinstance(result, Exception):

@@ -36,30 +36,22 @@ def mmse_precoder(frame_matrix, alpha) -> np.ndarray:
 
 
 def normalize_power(precoder, mode: str, p_tx: float) -> np.ndarray:
-    """Apply the transmit-power convention to a precoding matrix or an (f, n, n) stack.
+    """Scale a precoding matrix, or each frame of an (f, n, n) stack, to ||W||_F^2 = N_B.
 
-    sum-power scales W so the radiated total equals N_B * P_TX; per-antenna
-    scales W uniformly until the hottest antenna (row) radiates exactly P_TX;
-    none returns W unchanged.  Each frame of a stack is scaled on its own.  A
-    zero, infinite or NaN power raises, naming the first such frame's power.
+    This is sum-power normalization: P_TX enters in `precoded_sinr`, so the
+    radiated total is N_B * P_TX.  `mode` (only "sum-power" is accepted) and
+    `p_tx` (not read) are kept for the benchmark oracle's positional call.
+    A zero, infinite or NaN power raises, naming the first such frame's power.
     """
-    w = np.asarray(precoder, dtype=complex)
-    if mode == "none":
-        return w
-    power = np.abs(w) ** 2
-    if mode == "sum-power":
-        power = power.sum(axis=(-2, -1))
-    elif mode == "per-antenna":
-        power = power.sum(axis=-1).max(axis=-1)
-    else:
+    if mode != "sum-power":
         raise ValidationError(f"unknown normalization mode {mode!r}")
+    w = np.asarray(precoder, dtype=complex)
+    power = (np.abs(w) ** 2).sum(axis=(-2, -1))
     bad = ~((0.0 < power) & (power < np.inf))
     if bad.any():
         raise ValidationError(
             f"cannot power-normalize a precoding matrix of power {float(power[bad].flat[0])}")
-    if mode == "sum-power":
-        return w * np.sqrt(w.shape[-2] / power)[..., None, None]
-    return w / np.sqrt(power)[..., None, None]
+    return w * np.sqrt(w.shape[-2] / power)[..., None, None]
 
 
 def precoded_sinr(user_vectors, serving_beam, precoder, p_tx) -> np.ndarray:

@@ -19,9 +19,7 @@ from .errors import ValidationError
 TAU = 2.0 * math.pi
 
 SIMILARITY_METRICS = ("euclidean", "channel")
-NORMALIZATION_MODES = ("sum-power", "per-antenna", "none")
 REGULARIZATION_MODES = ("paper", "normalized")
-PHASE_MODES = ("per-antenna", "per-beam")
 
 
 def round_half_up(x: float) -> int:
@@ -51,10 +49,8 @@ class ScenarioConfig:
     noise_temperature: float        # K, applied to every beam
     user_bandwidth: float           # Hz
     master_seed: int                # in [0, 2**32)
-    # model switches (defaults documented in README)
-    normalization_mode: str = "sum-power"
+    # the model switch (rules documented in README) and the aperture rule's efficiency
     regularization_mode: str = "paper"      # paper: alpha = P_Z/P_TX; normalized: 1/P_TX
-    phase_mode: str = "per-antenna"         # per-antenna | per-beam random phase
     tx_aperture_efficiency: float = 0.65    # used when deriving boresight gain
 
     @property
@@ -122,12 +118,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         )
     if cfg.clustering_similarity not in SIMILARITY_METRICS:
         raise ValidationError(f"config field 'clustering_similarity' must be one of {SIMILARITY_METRICS}")
-    if cfg.normalization_mode not in NORMALIZATION_MODES:
-        raise ValidationError(f"config field 'normalization_mode' must be one of {NORMALIZATION_MODES}")
     if cfg.regularization_mode not in REGULARIZATION_MODES:
         raise ValidationError(f"config field 'regularization_mode' must be one of {REGULARIZATION_MODES}")
-    if cfg.phase_mode not in PHASE_MODES:
-        raise ValidationError(f"config field 'phase_mode' must be one of {PHASE_MODES}")
     cfg.sector_grid()  # raises ValidationError on bad radii/angles
     return cfg
 

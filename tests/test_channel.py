@@ -245,17 +245,16 @@ def test_noise_normalization_scales_with_temperature(cfg, scenario7):
     assert np.allclose(np.abs(h1) / np.abs(h4), 2.0, rtol=1e-12)
 
 
-def test_phase_modes(cfg, scenario7):
+def test_one_phase_per_antenna(cfg, scenario7):
     sat, rf = one_beam_setup(cfg, scenario7)
     beam = scenario7.beams[2]
     phases = draw_phases(len(scenario7.beams), np.random.default_rng(5))
     args = (np.array([beam.center_lat]), np.array([beam.center_lon]),
             np.array([38_000e3]), np.array([2]), rf, sat)
-    h_ant = channel_matrix(*args, cfg, phases)[0]
-    h_beam = channel_matrix(*args, replace(cfg, phase_mode="per-beam"), phases)[0]
-    # per-antenna: one phase per column; per-beam: the user's beam phase on all
-    base = h_ant * np.exp(1j * phases)           # undo the per-antenna phases
-    assert np.allclose(base * np.exp(-1j * phases[2]), h_beam, rtol=1e-12)
+    h = channel_matrix(*args, cfg, phases)[0]
+    h_zero = channel_matrix(*args, cfg, np.zeros_like(phases))[0]
+    # column j carries antenna j's phase, whatever the user's serving beam
+    assert np.allclose(h, h_zero * np.exp(-1j * phases), rtol=1e-12)
 
 
 def channel_matrix_out_of_place(user_lat, user_lon, slant_m, user_beam_idx, rf,
@@ -277,9 +276,7 @@ def channel_matrix_out_of_place(user_lat, user_lon, slant_m, user_beam_idx, rf,
         / (4.0 * math.pi * d[:, None] * math.sqrt(cfg.noise_power_w))
     )
     h = amp * np.exp(-1j * (2.0 * math.pi / lam) * d)[:, None]
-    if cfg.phase_mode == "per-antenna":
-        return h * np.exp(-1j * phases)[None, :]
-    return h * np.exp(-1j * phases[np.asarray(user_beam_idx, dtype=int)])[:, None]
+    return h * np.exp(-1j * phases)[None, :]
 
 
 def nonprecoded_sinr_one_pass(h, serving_beam, p_tx):
@@ -338,14 +335,13 @@ def test_in_place_synthesis_is_bit_identical(layout, block_users, monkeypatch):
     args, phases = iteration0_inputs(scenario)
     if block_users:
         split_into_blocks(monkeypatch, len(args[0]), scenario.n_beams, block_users)
-    for mode in ("per-antenna", "per-beam"):
-        cfg = replace(scenario.config, phase_mode=mode)
-        h = channel_matrix(*args, cfg, phases)
-        assert h.flags.c_contiguous
-        np.testing.assert_array_equal(h, channel_matrix_out_of_place(*args, cfg, phases))
-        p_tx = cfg.tx_power(scenario.n_beams)
-        np.testing.assert_array_equal(nonprecoded_sinr(h, args[3], p_tx),
-                                      nonprecoded_sinr_one_pass(h, args[3], p_tx))
+    cfg = scenario.config
+    h = channel_matrix(*args, cfg, phases)
+    assert h.flags.c_contiguous
+    np.testing.assert_array_equal(h, channel_matrix_out_of_place(*args, cfg, phases))
+    p_tx = cfg.tx_power(scenario.n_beams)
+    np.testing.assert_array_equal(nonprecoded_sinr(h, args[3], p_tx),
+                                  nonprecoded_sinr_one_pass(h, args[3], p_tx))
 
 
 def test_channel_synthesis_holds_one_temporary(scenario19, monkeypatch):

@@ -102,8 +102,7 @@ def per_frame_reference(scenario, policy, state, iteration, alpha, p_tx):
     for fi, rows in enumerate(state.first_cluster + seq.selection):
         table = state.clusters[rows]
         eqvec = clustering.cluster_means(h, table)
-        w = precoding.normalize_power(precoding.mmse_precoder(eqvec, alpha),
-                                      cfg.normalization_mode, p_tx)
+        w = precoding.normalize_power(precoding.mmse_precoder(eqvec, alpha), "sum-power", p_tx)
         members = table[table >= 0]
         prec = precoding.precoded_sinr(h[members], dep.beam_idx[members], w, p_tx)
         rates[fi] = cluster_rates(prec, state.cluster_sizes[rows], scenario.modcod)
@@ -488,6 +487,34 @@ def test_size_failing_mid_run_leaves_no_files(small_scenario, tmp_path, monkeypa
     assert sorted(trees[0]) == sorted(kept + ["diagnostics.txt", "manifest.json"])
     for path in kept:
         assert trees[0][path] == trees[1][path], f"{path} differs"
+
+
+def test_rerun_starts_each_sweep_cell_empty(small_scenario, tmp_path, monkeypatch):
+    # an untraced rerun used to leave the earlier run's schedule.csv and
+    # sinr_trace.csv beside its own rates.csv, and a cell failing before it
+    # wrote anything the earlier run's whole directory
+    out = tmp_path / "out"
+    engine.run_experiment(small_scenario, sweep=[(k, 2.5e-4) for k in (1, 2, 4)],
+                          out_dir=str(out), iterations=1)
+    earlier_k1 = {path: data for path, data in tree_files(out).items()
+                  if path.startswith("K1_")}
+    run_iteration = engine.run_iteration
+
+    def failing_k4(*args, **kwargs):
+        by_size = run_iteration(*args, **kwargs)
+        by_size[4] = ValidationError("injected failure")
+        return by_size
+
+    monkeypatch.setattr(engine, "run_iteration", failing_k4)
+    _, manifest = engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4), (4, 2.5e-4)],
+                                        out_dir=str(out), iterations=1, write_traces=False)
+    assert not (out / "K4_rho0.00025").exists()
+    k2 = sorted(path for path in tree_files(out) if path.startswith("K2_"))
+    assert k2 == [path for path in manifest.artifacts if path.startswith("K2_")]
+    assert not any(path.endswith(("schedule.csv", "sinr_trace.csv")) for path in k2)
+    # a cell outside the sweep is left as it was
+    assert {path: data for path, data in tree_files(out).items()
+            if path.startswith("K1_")} == earlier_k1
 
 
 def test_unexpected_cell_error_propagates(small_scenario, monkeypatch):

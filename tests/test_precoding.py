@@ -90,26 +90,17 @@ def test_sum_power_budget_invariant():
         assert radiated == pytest.approx(n * p_tx, rel=1e-9)
 
 
-def test_per_antenna_binds_dominant_row():
-    w = np.array([[3.0 + 0j, 4.0 + 0j], [0.1 + 0j, 0.1 + 0j]])  # row powers 25, 0.02
-    p_tx = 2.0
-    scaled = normalize_power(w, "per-antenna", p_tx)
-    row_power = np.sum(np.abs(scaled * np.sqrt(p_tx)) ** 2, axis=1)
-    assert row_power[0] == pytest.approx(p_tx, rel=1e-12)     # binding row
-    assert row_power[1] < p_tx                                 # others stay below
-    assert np.allclose(scaled / w, scaled[0, 0] / w[0, 0])     # single common scale
-
-
 def test_none_mode_and_zero_matrix():
+    # a caller naming another normalization is refused, never given sum-power
     w = 5.0 * np.eye(2, dtype=complex)
-    assert normalize_power(w, "none", 1.0) is w
+    for mode in ("none", "per-antenna", "equal"):
+        with pytest.raises(ValidationError, match=f"unknown normalization mode '{mode}'"):
+            normalize_power(w, mode, 1.0)
     with pytest.raises(ValidationError):
         normalize_power(np.zeros((2, 2), dtype=complex), "sum-power", 1.0)
-    with pytest.raises(ValidationError):
-        normalize_power(w, "equal", 1.0)
 
 
-@pytest.mark.parametrize("mode", ["sum-power", "per-antenna"])
+@pytest.mark.parametrize("mode", ["sum-power"])
 def test_non_finite_power_rejected(mode):
     # dividing by an infinite or NaN power used to return a NaN matrix
     for w in ([[np.inf, 1.0], [1.0, 1.0]], [[np.nan, 1.0], [1.0, 1.0]]):
@@ -132,10 +123,9 @@ def test_stacked_frames_equal_their_slices(n):
     assert w.shape == (f, n, n)
     for i in range(f):
         np.testing.assert_array_equal(w[i], mmse_precoder(h[i], alpha))
-    for mode in ("sum-power", "per-antenna", "none"):
-        scaled = normalize_power(w, mode, 2.0)
-        for i in range(f):
-            np.testing.assert_array_equal(scaled[i], normalize_power(w[i], mode, 2.0))
+    scaled = normalize_power(w, "sum-power", 2.0)
+    for i in range(f):
+        np.testing.assert_array_equal(scaled[i], normalize_power(w[i], "sum-power", 2.0))
     users = random_complex(rng, (f, m, n))
     serving = rng.integers(0, n, size=(f, m))
     g = precoded_sinr(users, serving, w, 1.5)
@@ -144,7 +134,7 @@ def test_stacked_frames_equal_their_slices(n):
         np.testing.assert_array_equal(g[i], precoded_sinr(users[i], serving[i], w[i], 1.5))
 
 
-@pytest.mark.parametrize("mode", ["sum-power", "per-antenna"])
+@pytest.mark.parametrize("mode", ["sum-power"])
 def test_stack_power_error_names_lowest_failing_frame(mode):
     w = np.tile(np.eye(3, dtype=complex), (5, 1, 1))
     w[3, 0, 0] = np.inf

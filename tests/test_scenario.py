@@ -126,10 +126,12 @@ def test_integer_fields_accept_integers_and_integer_strings():
 
 @pytest.mark.parametrize("field,value", [
     ("n_frames", 30), ("tx_power_per_beam", 5.0), ("antenna_pattern", "bessel"),
+    ("phase_mode", "per-beam"), ("normalization_mode", "per-antenna"),
 ])
 def test_removed_fields_rejected_as_unknown(field, value):
-    # the random scheduler always runs max_b N_K frames, P_TX is P_tot / N_B and the
-    # transmit pattern is the tapered-aperture one
+    # the random scheduler always runs max_b N_K frames, P_TX is P_tot / N_B, the
+    # transmit pattern is the tapered-aperture one, the random phase is one per
+    # transmit antenna and the precoder is sum-power normalized
     with pytest.raises(ValidationError, match=rf"unknown config field\(s\): \['{field}'\]"):
         config_from_mapping(table_config(**{field: value}))
 
@@ -161,6 +163,14 @@ def test_unknown_and_missing_fields_named():
     del data["master_seed"]
     with pytest.raises(ValidationError, match="master_seed"):
         config_from_mapping(data)
+
+
+def test_bundled_config_names_every_field():
+    # the benchmark's precoder oracle reads `regularization_mode` from this file and
+    # falls back to `paper` when the key is absent, so no field may go missing here
+    from beamsim.cli import data_path
+    bundled = yaml.safe_load(data_path("config_default.yaml").read_text())
+    assert set(bundled) == {f.name for f in fields(ScenarioConfig)}
 
 
 def test_load_config_from_yaml(tmp_path):
