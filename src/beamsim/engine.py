@@ -187,17 +187,13 @@ def run_iteration(scenario: Scenario, cluster_sizes, density: float, policies, i
         magnitude_db *= 20.0
         mapped = (draw.deployment, magnitude_db)
     p_tx = cfg.tx_power(len(scenario.beams))
-    if cfg.regularization_mode == "paper":
-        alpha = cfg.noise_power_w / p_tx
-    else:
-        alpha = 1.0 / p_tx
 
     results = {}
     for cluster_size in cluster_sizes:
         try:
             state = build_iteration(scenario, cluster_size, draw)
             per_policy = {
-                policy: _evaluate_policy(scenario, policy, state, iteration, alpha, p_tx,
+                policy: _evaluate_policy(scenario, policy, state, iteration, p_tx,
                                          collect_trace, collect_map)
                 for policy in policies
             }
@@ -210,8 +206,7 @@ def run_iteration(scenario: Scenario, cluster_sizes, density: float, policies, i
     return results
 
 
-def _evaluate_policy(scenario, policy, state, iteration, alpha, p_tx, collect_trace,
-                     collect_map):
+def _evaluate_policy(scenario, policy, state, iteration, p_tx, collect_trace, collect_map):
     cfg = scenario.config
     if policy == "random":
         seq = scheduling.random_schedule(
@@ -237,11 +232,11 @@ def _evaluate_policy(scenario, policy, state, iteration, alpha, p_tx, collect_tr
     blocks = []
     for start in range(0, n_frames, step):
         try:
-            block = _precode_frames(scenario, state, rows[start:start + step], alpha, p_tx)
+            block = _precode_frames(scenario, state, rows[start:start + step], p_tx)
         except _CELL_ERRORS:
             # raise what the lowest failing frame of the block raises on its own
             for fi in range(start, min(start + step, n_frames)):
-                _precode_frames(scenario, state, rows[fi:fi + 1], alpha, p_tx)
+                _precode_frames(scenario, state, rows[fi:fi + 1], p_tx)
             raise
         blocks.append(block if keep_sinrs else block[:2])
     rates, loss_flags, *sinrs = (np.concatenate(part) for part in zip(*blocks))
@@ -285,20 +280,21 @@ def _evaluate_policy(scenario, policy, state, iteration, alpha, p_tx, collect_tr
     return data
 
 
-def _precode_frames(scenario, state, rows, alpha, p_tx):
+def _precode_frames(scenario, state, rows, p_tx):
     """Precode a block of frames, frame f serving the cluster rows `rows[f]`.
 
     Returns the frames' (f, N_B) rates, their loss flags, and the members
     they serve, frame after frame and cluster after cluster, with their
     precoded SINRs.  Every frame gets the arithmetic of its own 2-D
-    precoding calls, to the last bit.
+    precoding calls, to the last bit.  The precoder is regularized with
+    alpha = 1 / P_TX (see README).
     """
     h, nonprec = state.draw.h, state.draw.nonprec
     n_frames, n_beams = rows.shape
     table = state.clusters[rows.ravel()]         # (f * N_B, K), -1 past a cluster's size
     eqvec = clustering.cluster_means(h, table)
-    w = precoding.normalize_power(
-        precoding.mmse_precoder(eqvec.reshape(n_frames, n_beams, -1), alpha), "sum-power", p_tx)
+    frames = eqvec.reshape(n_frames, n_beams, -1)
+    w = precoding.normalize_power(precoding.mmse_precoder(frames, 1.0 / p_tx), "sum-power", p_tx)
     slots = table.reshape(n_frames, -1)          # a pad gathers a stand-in user, dropped below
     served = slots >= 0
     prec = precoding.precoded_sinr(h[slots], state.draw.deployment.beam_idx[slots], w, p_tx)

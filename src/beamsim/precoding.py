@@ -1,6 +1,6 @@
 """Regularized channel-inversion precoding and SINR evaluation.
 
-The precoder is W = (H^H H + diag(alpha))^-1 H^H computed with a linear
+The precoder is W = (H^H H + alpha I)^-1 H^H computed with a linear
 solve (no explicit inverse).  Column j of W carries beam j's stream.  All
 SINRs assume unit receiver noise, which the channel normalization provides.
 
@@ -21,18 +21,18 @@ from .errors import ValidationError
 def mmse_precoder(frame_matrix, alpha) -> np.ndarray:
     """Regularized inverse of the (n, n) frame channel matrix, or of each in an (f, n, n) stack.
 
-    `alpha` is a scalar or per-beam vector of positive regularization factors
-    (noise power over transmit power in the nominal configuration).
+    `alpha` is one positive scalar: the engine uses 1 / P_TX, which on the
+    noise-normalized channel is the paper's noise power over transmit power
+    on the physical channel.
     """
     h = np.asarray(frame_matrix, dtype=complex)
     n = h.shape[-1]
     if h.ndim not in (2, 3) or h.shape[-2] != n or not np.all(np.isfinite(h.view(float))):
         raise ValidationError("frame matrix must be finite and square")
-    a = np.broadcast_to(np.asarray(alpha, dtype=float), (n,))
-    if np.any(a <= 0):
-        raise ValidationError("regularization factors must be positive")
+    if np.ndim(alpha) != 0 or not alpha > 0:
+        raise ValidationError("the regularization factor must be a positive scalar")
     h_herm = np.swapaxes(h.conj(), -1, -2)
-    return np.linalg.solve(h_herm @ h + np.diag(a), h_herm)
+    return np.linalg.solve(h_herm @ h + alpha * np.eye(n), h_herm)
 
 
 def normalize_power(precoder, mode: str, p_tx: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from .errors import ValidationError
 TAU = 2.0 * math.pi
 
 SIMILARITY_METRICS = ("euclidean", "channel")
-REGULARIZATION_MODES = ("paper", "normalized")
+REGULARIZATION_MODES = ("normalized",)
 
 
 def round_half_up(x: float) -> int:
@@ -49,8 +49,9 @@ class ScenarioConfig:
     noise_temperature: float        # K, applied to every beam
     user_bandwidth: float           # Hz
     master_seed: int                # in [0, 2**32)
-    # the model switch (rules documented in README) and the aperture rule's efficiency
-    regularization_mode: str = "paper"      # paper: alpha = P_Z/P_TX; normalized: 1/P_TX
+    # the precoder's regularization rule (alpha = 1/P_TX, see README) and the
+    # aperture rule's efficiency
+    regularization_mode: str = "normalized"
     tx_aperture_efficiency: float = 0.65    # used when deriving boresight gain
 
     @property

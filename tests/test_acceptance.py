@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
 The heavy cells (19 beams, density 2.5e-3, 100 iterations) are computed once
-and shared; criteria assert both the documented behavior and their stated
-runtime budgets.  Run with `pytest tests/test_acceptance.py -v -s`.
+and shared; criteria 8 and 9 also run the 71-beam layout.  Criteria assert
+both the documented behavior and their stated runtime budgets.  Run with
+`pytest tests/test_acceptance.py -v -s`.
 """
 
 import math
@@ -56,6 +57,20 @@ def cell(scenario, cluster_size):
 
 def passline(num, name, elapsed, detail):
     print(f"[acceptance] criterion {num} ({name}): PASS in {elapsed:.1f}s — {detail}")
+
+
+def paired_gain(report):
+    """Mean GSA - random eta over the paired iterations, with its 95% t-interval."""
+    diffs = report.policies["gsa"].per_iteration_eta - report.policies["random"].per_iteration_eta
+    mean = float(np.mean(diffs))
+    half = stats.t.ppf(0.975, len(diffs) - 1) * float(np.std(diffs, ddof=1)) / math.sqrt(len(diffs))
+    return mean, mean - half, mean + half
+
+
+def gain_detail(mean, low, high):
+    band = "below" if mean < 0.25 else "above" if mean > 0.30 else "inside"
+    return (f"gain {mean:.3f} bit/s/Hz, CI [{low:.3f}, {high:.3f}], "
+            f"{band} the published 0.25-0.30 band")
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +233,7 @@ def test_c5_precoding_loss(scenario19):
     assert elapsed < 600.0
     passline(5, "precoding-loss reproduction", elapsed,
              f"random {rand.loss_frame_fraction:.3f} > 0.30, "
-             f"gsa {gsa.loss_frame_fraction:.3f} lower, sign test p={p:.2e}")
+             f"gsa {gsa.loss_frame_fraction:.3f} lower, sign test {wins} of {n_eff}, p={p:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +244,9 @@ def test_c6_gsa_gain(scenario19):
     start = time.perf_counter()
     details = []
     for k in (2, 4):
-        report = cell(scenario19, k)
-        diffs = (report.policies["gsa"].per_iteration_eta
-                 - report.policies["random"].per_iteration_eta)
-        mean = float(np.mean(diffs))
-        half = stats.t.ppf(0.975, len(diffs) - 1) * float(np.std(diffs, ddof=1)) / math.sqrt(len(diffs))
-        low, high = mean - half, mean + half
+        mean, low, high = paired_gain(cell(scenario19, k))
         assert low > 0.0, f"K={k}: 95% CI [{low:.3f}, {high:.3f}] does not exclude 0"
-        band = "inside" if 0.25 <= mean <= 0.30 else "outside"
-        details.append(
-            f"K={k}: gain {mean:.3f} bit/s/Hz, CI [{low:.3f}, {high:.3f}], "
-            f"{band} the published 0.25-0.30 band"
-        )
+        details.append(f"K={k}: " + gain_detail(mean, low, high))
     elapsed = time.perf_counter() - start
     assert elapsed < 1800.0
     passline(6, "GSA gain", elapsed, "; ".join(details))
@@ -271,15 +277,20 @@ def test_c7_trend_eta_nonincreasing_in_k(scenario19):
 # 8. Determinism
 # ---------------------------------------------------------------------------
 
-def test_c8_determinism(tmp_path):
+@pytest.mark.parametrize("layout, density, iterations, write_traces", [
+    ("beams_hex7.json", 2.5e-4, 4, True),
+    ("beams_europe71.json", DENSITY, 2, False),
+], ids=["hex7", "europe71"])
+def test_c8_determinism(tmp_path, layout, density, iterations, write_traces):
     start = time.perf_counter()
-    scenario = bundled_scenario("beams_hex7.json", user_density=2.5e-4,
-                                cluster_size=2, monte_carlo_iterations=4)
+    scenario = bundled_scenario(layout, user_density=density,
+                                cluster_size=2, monte_carlo_iterations=iterations)
     trees = []
     for threads in (1, 2):
         out = tmp_path / f"threads{threads}"
-        engine.run_experiment(scenario, sweep=[(2, 2.5e-4)], out_dir=str(out),
-                              threads=threads, iterations=4)
+        engine.run_experiment(scenario, sweep=[(2, density)], out_dir=str(out),
+                              threads=threads, iterations=iterations,
+                              write_traces=write_traces)
         tree = {}
         for base, _, files in os.walk(out):
             for f in files:
@@ -292,4 +303,30 @@ def test_c8_determinism(tmp_path):
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     passline(8, "determinism", elapsed,
-             f"{len(trees[0])} files byte-identical across thread counts 1 and 2")
+             f"{layout}: {len(trees[0])} files byte-identical across thread counts 1 and 2")
+
+
+# ---------------------------------------------------------------------------
+# 9. GSA gain at full scale
+# ---------------------------------------------------------------------------
+
+C9_ITERATIONS = 5
+C9_ETA_FLOOR = 1.0      # bit/s/Hz; a collapsed precoder scores near 0
+
+
+def test_c9_gsa_gain_at_71_beams():
+    start = time.perf_counter()
+    scenario = bundled_scenario("beams_europe71.json")
+    reports, _ = engine.run_experiment(scenario, sweep=[(2, DENSITY)], policies=("random", "gsa"),
+                                       iterations=C9_ITERATIONS, threads=THREADS)
+    report = reports[2, DENSITY]
+    etas = {policy: report.policies[policy].eta_bar for policy in ("random", "gsa")}
+    for policy, eta in etas.items():
+        assert eta > C9_ETA_FLOOR, f"{policy}: eta {eta:.4f} at or below {C9_ETA_FLOOR} bit/s/Hz"
+    mean, low, high = paired_gain(report)
+    assert low > 0.0, f"95% CI [{low:.3f}, {high:.3f}] does not exclude 0"
+    elapsed = time.perf_counter() - start
+    assert elapsed < 300.0
+    passline(9, "GSA gain at 71 beams", elapsed,
+             f"K=2, {C9_ITERATIONS} iterations: random {etas['random']:.3f}, "
+             f"gsa {etas['gsa']:.3f} bit/s/Hz; " + gain_detail(mean, low, high))

@@ -185,6 +185,15 @@ def test_validate_infinite_density_exit_one(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_validate_rejects_paper_regularization(tmp_path, capsys):
+    path = tmp_path / "paper.yaml"
+    path.write_text(yaml.safe_dump(table_config(regularization_mode="paper")))
+    assert main(["validate", "--config", str(path), "--beams", hex7()]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'regularization_mode'")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_non_finite_beam_gain_exit_one(command, small_config, tmp_path, capsys):
     # a NaN gain used to validate and then fail every cell in clustering

@@ -80,11 +80,11 @@ def test_sweep_reports_pool_their_own_iterations(small_scenario):
         _report_values(reports[2, 4e-4]))
 
 
-def per_frame_reference(scenario, policy, state, iteration, alpha, p_tx):
+def per_frame_reference(scenario, policy, state, iteration, p_tx):
     """A policy's frames precoded one at a time with the 2-D precoding calls.
 
     Returns the rates, loss flags, schedule and sinr_trace columns and the
-    user map, built as the engine builds them.
+    user map, built as the engine builds them with its alpha = 1 / P_TX.
     """
     cfg = scenario.config
     if policy == "random":
@@ -102,7 +102,7 @@ def per_frame_reference(scenario, policy, state, iteration, alpha, p_tx):
     for fi, rows in enumerate(state.first_cluster + seq.selection):
         table = state.clusters[rows]
         eqvec = clustering.cluster_means(h, table)
-        w = precoding.normalize_power(precoding.mmse_precoder(eqvec, alpha), "sum-power", p_tx)
+        w = precoding.normalize_power(precoding.mmse_precoder(eqvec, 1.0 / p_tx), "sum-power", p_tx)
         members = table[table >= 0]
         prec = precoding.precoded_sinr(h[members], dep.beam_idx[members], w, p_tx)
         rates[fi] = cluster_rates(prec, state.cluster_sizes[rows], scenario.modcod)
@@ -168,19 +168,18 @@ def test_frame_blocks_match_per_frame_loop(layout, monkeypatch):
     cfg = scenario.config
     n_beams = scenario.n_beams
     p_tx = cfg.tx_power(n_beams)
-    alpha = cfg.noise_power_w / p_tx
     for iteration in (0, 1):
         draw = engine.draw_iteration(scenario, cfg.user_density, iteration)
         for k in (1, 2, 4, 8):
             state = engine.build_iteration(scenario, k, draw)
             for policy in engine.POLICIES:
-                reference = per_frame_reference(scenario, policy, state, iteration, alpha, p_tx)
+                reference = per_frame_reference(scenario, policy, state, iteration, p_tx)
                 n_frames = len(reference[0])
                 step = next(s for s in (3, 4, 5, 7) if n_frames % s)
                 for chunk in (engine._CHUNK_ROWS, 1, n_beams * n_beams * k * step):
                     monkeypatch.setattr(engine, "_CHUNK_ROWS", chunk)
-                    data = engine._evaluate_policy(scenario, policy, state, iteration,
-                                                   alpha, p_tx, True, True)
+                    data = engine._evaluate_policy(scenario, policy, state, iteration, p_tx,
+                                                   True, True)
                     assert_same_frames(data, reference)
                 monkeypatch.undo()
 
@@ -197,9 +196,8 @@ def test_failing_frame_of_a_block_raises_as_on_its_own(small_scenario, monkeypat
     scenario, policy = small_scenario, "random"
     cfg = scenario.config
     p_tx = cfg.tx_power(scenario.n_beams)
-    alpha = cfg.noise_power_w / p_tx
     state = engine.build_iteration(scenario, 2, engine.draw_iteration(scenario, 2.5e-4, 0))
-    clean = engine._evaluate_policy(scenario, policy, state, 0, alpha, p_tx, True, False)
+    clean = engine._evaluate_policy(scenario, policy, state, 0, p_tx, True, False)
     n_frames = len(clean.rates)
     assert n_frames <= engine._CHUNK_ROWS // (scenario.n_beams ** 2 * 2)   # one block
     sched, trace = clean.traces["schedule.csv"], clean.traces["sinr_trace.csv"]
@@ -237,9 +235,9 @@ def test_failing_frame_of_a_block_raises_as_on_its_own(small_scenario, monkeypat
     monkeypatch.setattr(precoding, "mmse_precoder", faulty_mmse)
     monkeypatch.setattr(precoding, "precoded_sinr", faulty_sinr)
     with pytest.raises(ValidationError) as alone:
-        per_frame_reference(scenario, policy, state, 0, alpha, p_tx)
+        per_frame_reference(scenario, policy, state, 0, p_tx)
     with pytest.raises(ValidationError) as blocked:
-        engine._evaluate_policy(scenario, policy, state, 0, alpha, p_tx, False, False)
+        engine._evaluate_policy(scenario, policy, state, 0, p_tx, False, False)
     assert str(blocked.value) == str(alone.value) == message
 
 

@@ -136,6 +136,15 @@ def test_removed_fields_rejected_as_unknown(field, value):
         config_from_mapping(table_config(**{field: value}))
 
 
+def test_paper_regularization_rejected():
+    # the paper's alpha = P_Z / P_TX belongs to the physical channel; on the
+    # noise-normalized one it is zero forcing, so it is refused, not reinterpreted
+    with pytest.raises(ValidationError, match=r"config field 'regularization_mode' "
+                                              r"must be one of \('normalized',\)"):
+        config_from_mapping(table_config(regularization_mode="paper"))
+    assert config_from_mapping(table_config()).regularization_mode == "normalized"
+
+
 @pytest.mark.parametrize("value", [-0.65, 0.0, 1.5])
 def test_tx_aperture_efficiency_outside_unit_interval_rejected(value):
     # a negative efficiency used to validate and then fail the run with NaN features
