@@ -26,9 +26,11 @@ GAIN_FLOOR_REL = 1e-10  # -100 dB relative to boresight; keeps |h| > 0
 
 # Channel synthesis and the non-precoded SINRs work on blocks of users whose
 # (users, N_B) float buffer holds about this many values (2 MiB): 3,692 users
-# at 71 beams.  Much smaller blocks cost time, since each block makes one
-# pattern call per antenna.
+# at 71 beams.  A block's antenna pattern is evaluated on `_PATTERN_SLICES`
+# contiguous row slices of it (230 users at 71 beams), one pattern call each,
+# so the pattern's dozen temporaries stay below one block buffer in all.
 _BLOCK_VALUES = 1 << 18
+_PATTERN_SLICES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +114,12 @@ def bessel_taper_gain(theta, theta_3db, g_max):
 
     u = 2.07123 sin(theta)/sin(theta_3db) puts the half-power point at
     theta_3db; the bracket tends to 1/4 + 36/48 = 1 at boresight.
+    `theta_3db` and `g_max` broadcast against `theta`: per-antenna arrays
+    evaluate a (users, N_B) block of angles at once, each element as a
+    scalar call would.
     """
     theta = np.asarray(theta, dtype=float)
-    u = 2.07123 * np.sin(theta) / math.sin(theta_3db)
+    u = 2.07123 * np.sin(theta) / np.sin(theta_3db)
     rel = taper_bracket(u) ** 2
     rel = np.where(theta >= math.pi / 2.0, GAIN_FLOOR_REL, rel)
     return g_max * np.maximum(rel, GAIN_FLOOR_REL)
@@ -186,12 +191,14 @@ def _user_blocks(n_users, n_beams):
 def _amplitude(users, d, rf: BeamRf, cfg) -> np.ndarray:
     """|h| of a block of users (unit vectors from the satellite, slant ranges):
     one (users, N_B) float buffer carries cos -> angle -> gain -> amplitude,
-    and is freed once the caller has used it, before the next block's is made."""
+    and is freed once the caller has used it, before the next block's is made.
+    The gains come from one pattern call per contiguous row slice, with every
+    antenna's theta_3db and g_max broadcast along the row."""
     amp = users @ rf.boresights.T                               # cos of off-axis angle
     np.clip(amp, -1.0, 1.0, out=amp)
     np.arccos(amp, out=amp)                                     # off-axis angle
-    for j in range(rf.boresights.shape[0]):
-        amp[:, j] = bessel_taper_gain(amp[:, j], rf.theta_3db[j], rf.g_max[j])
+    for rows in _user_blocks(len(amp), _PATTERN_SLICES * amp.shape[1]):
+        amp[rows] = bessel_taper_gain(amp[rows], rf.theta_3db, rf.g_max)
     amp *= cfg.rx_gain_linear * cfg.loss_linear
     np.sqrt(amp, out=amp)
     amp *= cfg.wavelength

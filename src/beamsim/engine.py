@@ -351,18 +351,8 @@ def scenario_hash(scenario: Scenario) -> str:
 _CHUNK_ROWS = 65536
 
 
-def _column_text(column: np.ndarray) -> list:
-    """A column's values as CSV fields, formatted by its dtype."""
-    kind = column.dtype.kind
-    if kind == "b":
-        return [str(v) for v in column.astype(np.uint8).tolist()]
-    if kind in "iu":
-        return [str(v) for v in column.tolist()]
-    if kind == "f":
-        return [format(v, ".10g") for v in column.tolist()]
-    if kind == "U":
-        return column.tolist()
-    raise TypeError(f"no CSV format for dtype {column.dtype}")
+# A CSV field's %-format by dtype kind, as `table_blocks` documents it
+_FIELD_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.10g", "U": "%s"}
 
 
 def table_blocks(columns):
@@ -370,17 +360,21 @@ def table_blocks(columns):
     `_CHUNK_ROWS` rows.
 
     Integers and bools are written as integers, floats to 10 significant
-    digits (`nan` for NaN), strings as they are.  The columns' lengths are
-    checked when the header is taken.
+    digits (`nan` for NaN), strings as they are.  The columns' lengths and
+    dtypes are checked when the header is taken.
     """
     arrays = [np.asarray(c) for c in columns.values()]
     n_rows = len(arrays[0])
     if any(len(a) != n_rows for a in arrays):
         raise ValueError(f"columns differ in length: {[len(a) for a in arrays]}")
+    for a in arrays:
+        if a.dtype.kind not in _FIELD_FORMATS:
+            raise TypeError(f"no CSV format for dtype {a.dtype}")
+    row = ",".join(_FIELD_FORMATS[a.dtype.kind] for a in arrays) + "\n"
     yield ",".join(columns) + "\n"
     for start in range(0, n_rows, _CHUNK_ROWS):
-        fields = [_column_text(a[start:start + _CHUNK_ROWS]) for a in arrays]
-        yield "\n".join(map(",".join, zip(*fields))) + "\n"
+        fields = [a[start:start + _CHUNK_ROWS].tolist() for a in arrays]
+        yield row * len(fields[0]) % tuple(itertools.chain.from_iterable(zip(*fields)))
 
 
 def _write_table(path, columns, append=False):

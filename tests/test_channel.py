@@ -156,6 +156,21 @@ def test_gain_matches_jv_oracle():
     assert np.allclose(got, expect, rtol=2e-11, atol=2e-13 * 3e4)
 
 
+def test_pattern_takes_per_antenna_parameters():
+    # a (users, N_B) block with theta_3db and g_max per antenna is the
+    # per-column calls with scalar parameters, bit for bit
+    scenario = bundled_scenario("beams_europe71.json")
+    (lat, lon, _, _, rf, sat), _ = iteration0_inputs(scenario)
+    users = geometry.geodetic_to_ecef_km(lat[:5000], lon[:5000]) - sat
+    users /= np.linalg.norm(users, axis=1, keepdims=True)
+    theta = np.arccos(np.clip(users @ rf.boresights.T, -1.0, 1.0))
+    theta[0] = np.linspace(0.0, math.pi, scenario.n_beams)     # the floor beyond the horizon too
+    gains = bessel_taper_gain(theta, rf.theta_3db, rf.g_max)
+    for j in range(scenario.n_beams):
+        np.testing.assert_array_equal(
+            gains[:, j], bessel_taper_gain(theta[:, j], rf.theta_3db[j], rf.g_max[j]))
+
+
 def test_beyond_horizon_clamped_to_floor():
     t3 = math.radians(0.3)
     assert bessel_taper_gain(math.pi / 2, t3, 1.0) == pytest.approx(GAIN_FLOOR_REL)
@@ -306,6 +321,10 @@ def split_into_blocks(monkeypatch, n_users, n_beams, block_users):
     sizes = [len(range(n_users)[s]) for s in channel._user_blocks(n_users, n_beams)]
     assert sum(sizes) == n_users
     assert len(sizes) >= 3 and sizes[0] == block_users and 0 < sizes[-1] < block_users
+    # the pattern's row slices of a whole block end in a shorter one as well
+    rows = [len(range(block_users)[s])
+            for s in channel._user_blocks(block_users, channel._PATTERN_SLICES * n_beams)]
+    assert len(rows) >= 2 and 0 < rows[-1] < rows[0]
 
 
 def traced_peak(fn):
@@ -329,6 +348,7 @@ def traced_peak(fn):
 ] + [
     pytest.param("beams_hex7.json", 997, id="beams_hex7.json-997-user-blocks"),
     pytest.param("beams_hex19.json", 2503, id="beams_hex19.json-2503-user-blocks"),
+    pytest.param("beams_hex7.json", 50, id="beams_hex7.json-50-user-blocks"),
 ])
 def test_in_place_synthesis_is_bit_identical(layout, block_users, monkeypatch):
     scenario = bundled_scenario(layout)

@@ -308,8 +308,15 @@ def test_follows_max_dist_on_tied_grid_features(seed, n, k, dim, span, log_scale
     assert_follows_max_dist(feats, part, k)
 
 
-@pytest.mark.parametrize("layout", ["beams_hex7.json", "beams_hex19.json", "beams_europe71.json"])
-def test_matches_reference_on_bundled_layouts(layout):
+@pytest.mark.parametrize("layout, sizes", [
+    # K = 3 takes the partition path with two neighbours; europe71 is slow enough
+    pytest.param(layout, sizes, id=layout) for layout, sizes in (
+        ("beams_hex7.json", (1, 2, 3, 4, 8)),
+        ("beams_hex19.json", (1, 2, 3, 4, 8)),
+        ("beams_europe71.json", (1, 2, 4, 8)),
+    )
+])
+def test_matches_reference_on_bundled_layouts(layout, sizes):
     """Both feature spaces of the bundled config's iteration 0, as the engine builds them."""
     scenario = bundled_scenario(layout)
     assert scenario.config.clustering_similarity == "channel"
@@ -322,7 +329,7 @@ def test_matches_reference_on_bundled_layouts(layout):
                                         dep.lat[sel], dep.lon[sel])
         chan = channel_features(draw.h[sel])
         for feats in (np.column_stack([x, y]), chan):
-            for k in (1, 2, 4, 8):
+            for k in sizes:
                 assert_same_partition(max_dist_partition(feats, k), reference_max_dist(feats, k))
         # the engine's table rows of the beam, as global user ids
         expected = reference_max_dist(chan, 8)

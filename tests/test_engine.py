@@ -331,6 +331,24 @@ def test_table_writer_formats_by_dtype(tmp_path):
         engine._write_table(path, {"a": [1, 2], "b": [1.0]})
 
 
+def test_table_writer_checks_dtypes_before_opening(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(TypeError, match="complex"):
+        engine._write_table(path, {"a": np.arange(3), "z": np.array([1j, 2j, 3j])})
+    assert not path.exists()
+
+
+def test_table_writer_floats_match_format():
+    # 10 significant digits across the exponent range, subnormals and specials
+    rng = np.random.default_rng(11)
+    n = 20_000
+    x = rng.uniform(-10.0, 10.0, n) * 10.0 ** rng.integers(-300, 300, n).astype(float)
+    x = np.concatenate([x, [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1.8e308]])
+    lines = "".join(engine.table_blocks({"x": x})).splitlines()
+    assert lines[0] == "x"
+    assert lines[1:] == [format(v, ".10g") for v in x.tolist()]
+
+
 @pytest.mark.parametrize("chunk", [1, 4, 5])
 def test_table_writer_chunks_join_seamlessly(tmp_path, monkeypatch, chunk):
     rng = np.random.default_rng(0)
