@@ -28,7 +28,8 @@ K = 1 and nine at K = 2, and keeps its scalars as Python floats.  G takes
 8 n^2 bytes for n users; it is built for the whole beam and rebuilt on the
 remaining users each time half of them have been taken, which keeps the
 rounding of the distances small and costs O(n^2 d) per beam in all: the
-floor, about 0.14 s of the 0.25-0.35 s a europe71 K = 2 draw spends here.
+floor, about 0.14 s of the 0.24 s MaxDist takes on a europe71 K = 2 draw
+(one core).
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> np.ndar
                 # two users always tie, however far from them the table is centred
                 ref = int((far > -np.inf).argmax())
             elif ref:
-                # a lower index ties if the largest value below it lies within tol
+                # a lower index ties if the largest value below it is within tolerance
                 top = bary.item(ref)
                 cut = top - max(TIE_RTOL * abs(top + total / (m * m)), floor)
                 if bary.item(bary[:ref].argmax()) >= cut:

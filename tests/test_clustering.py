@@ -309,7 +309,8 @@ def test_follows_max_dist_on_tied_grid_features(seed, n, k, dim, span, log_scale
 
 
 @pytest.mark.parametrize("layout, sizes", [
-    # K = 3 takes the partition path with two neighbours; europe71 is slow enough
+    # K = 3 takes the partition path with two neighbours; europe71 already
+    # takes about 20 s, so it keeps the shorter list
     pytest.param(layout, sizes, id=layout) for layout, sizes in (
         ("beams_hex7.json", (1, 2, 3, 4, 8)),
         ("beams_hex19.json", (1, 2, 3, 4, 8)),
