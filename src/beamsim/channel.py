@@ -26,9 +26,9 @@ GAIN_FLOOR_REL = 1e-10  # -100 dB relative to boresight; keeps |h| > 0
 
 # Channel synthesis and the non-precoded SINRs work on blocks of users whose
 # (users, N_B) float buffer holds about this many values (2 MiB): 3,692 users
-# at 71 beams.  A block's antenna pattern is evaluated on `_PATTERN_SLICES`
-# contiguous row slices of it (230 users at 71 beams), one pattern call each,
-# so the pattern's dozen temporaries stay below one block buffer in all.
+# at 71 beams.  The antenna pattern runs on contiguous row slices of a whole
+# block's 1/`_PATTERN_SLICES`, rounded up (231 users at 71 beams), one call
+# each, so its dozen temporaries stay below one block buffer in all.
 _BLOCK_VALUES = 1 << 18
 _PATTERN_SLICES = 16
 
@@ -188,6 +188,12 @@ def _user_blocks(n_users, n_beams):
     return (slice(start, start + step) for start in range(0, n_users, step))
 
 
+def _pattern_rows(n_users, n_beams):
+    """Consecutive slices of 1/`_PATTERN_SLICES` of a whole block's users, rounded up."""
+    step = -(-max(1, _BLOCK_VALUES // n_beams) // _PATTERN_SLICES)
+    return (slice(start, start + step) for start in range(0, n_users, step))
+
+
 def _amplitude(users, d, rf: BeamRf, cfg) -> np.ndarray:
     """|h| of a block of users (unit vectors from the satellite, slant ranges):
     one (users, N_B) float buffer carries cos -> angle -> gain -> amplitude,
@@ -197,7 +203,7 @@ def _amplitude(users, d, rf: BeamRf, cfg) -> np.ndarray:
     amp = users @ rf.boresights.T                               # cos of off-axis angle
     np.clip(amp, -1.0, 1.0, out=amp)
     np.arccos(amp, out=amp)                                     # off-axis angle
-    for rows in _user_blocks(len(amp), _PATTERN_SLICES * amp.shape[1]):
+    for rows in _pattern_rows(*amp.shape):
         amp[rows] = bessel_taper_gain(amp[rows], rf.theta_3db, rf.g_max)
     amp *= cfg.rx_gain_linear * cfg.loss_linear
     np.sqrt(amp, out=amp)

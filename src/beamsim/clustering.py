@@ -23,13 +23,12 @@ by subtracting the rows it took.  A pass costs O(n) arithmetic and sorts
 nothing, whatever the feature dimension d: K = 1 needs no neighbour
 distances, K = 2 takes the nearest with one argmin, and larger K select the
 K nearest with one partition.  On a beam's few hundred users the calls, not
-the arithmetic, set the cost: a pass makes at most five numpy calls at
-K = 1 and nine at K = 2, and keeps its scalars as Python floats.  G takes
-8 n^2 bytes for n users; it is built for the whole beam and rebuilt on the
-remaining users each time half of them have been taken, which keeps the
-rounding of the distances small and costs O(n^2 d) per beam in all: the
-floor, about 0.14 s of the 0.24 s MaxDist takes on a europe71 K = 2 draw
-(one core).
+the arithmetic, set the cost, so a pass keeps its scalars as Python
+floats.  G takes 8 n^2 bytes for n users; it is built for the whole beam
+and rebuilt on the remaining users each time half of them have been taken,
+which keeps the rounding of the distances small and costs O(n^2 d) per beam
+in all: the floor, about 0.14 s of the 0.24 s MaxDist takes on a europe71
+K = 2 draw (one core).
 """
 
 from __future__ import annotations
@@ -168,8 +167,5 @@ def cluster_means(values, rows) -> np.ndarray:
     total = values[rows[:, 0]]
     for slot in range(1, rows.shape[1]):
         has = sizes > slot
-        if has.all():
-            total += values[rows[:, slot]]
-        else:
-            total[has] += values[rows[has, slot]]
+        total[has] += values[rows[has, slot]]
     return total / sizes[:, None]

@@ -322,9 +322,8 @@ def split_into_blocks(monkeypatch, n_users, n_beams, block_users):
     assert sum(sizes) == n_users
     assert len(sizes) >= 3 and sizes[0] == block_users and 0 < sizes[-1] < block_users
     # the pattern's row slices of a whole block end in a shorter one as well
-    rows = [len(range(block_users)[s])
-            for s in channel._user_blocks(block_users, channel._PATTERN_SLICES * n_beams)]
-    assert len(rows) >= 2 and 0 < rows[-1] < rows[0]
+    rows = [len(range(block_users)[s]) for s in channel._pattern_rows(block_users, n_beams)]
+    assert 2 <= len(rows) <= channel._PATTERN_SLICES and 0 < rows[-1] < rows[0]
 
 
 def traced_peak(fn):
@@ -362,6 +361,12 @@ def test_in_place_synthesis_is_bit_identical(layout, block_users, monkeypatch):
     p_tx = cfg.tx_power(scenario.n_beams)
     np.testing.assert_array_equal(nonprecoded_sinr(h, args[3], p_tx),
                                   nonprecoded_sinr_one_pass(h, args[3], p_tx))
+
+
+@pytest.mark.parametrize("n_beams", [7, 19, 71])
+def test_a_whole_block_makes_one_pattern_call_per_slice(n_beams):
+    rows = list(channel._pattern_rows(channel._BLOCK_VALUES // n_beams, n_beams))
+    assert len(rows) == channel._PATTERN_SLICES
 
 
 def test_channel_synthesis_holds_one_temporary(scenario19, monkeypatch):
