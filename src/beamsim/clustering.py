@@ -19,16 +19,17 @@ index.
 Cost: every distance a pass needs comes from the Gram matrix G = X X^T of
 the remaining users' features X, centred on their barycentre, and from
 g = G 1_R, its row sums over the remaining users R, which each pass updates
-by subtracting the rows it took.  A pass costs O(n) arithmetic and sorts
-nothing, whatever the feature dimension d: K = 1 needs no neighbour
-distances, K = 2 takes the nearest with one argmin, and larger K select the
-K nearest with one partition.  On a beam's few hundred users the calls, not
-the arithmetic, set the cost, so a pass keeps its scalars as Python
-floats.  G takes 8 n^2 bytes for n users; it is built for the whole beam
-and rebuilt on the remaining users each time half of them have been taken,
-which keeps the rounding of the distances small and costs O(n^2 d) per beam
-in all: the floor, about 0.14 s of the 0.24 s MaxDist takes on a europe71
-K = 2 draw (one core).
+by subtracting the rows it took.  A pass sorts nothing, whatever the
+feature dimension d: it takes the K-1 nearest with one argmin each, O(K n)
+arithmetic.  A partition would select them in O(n), but its call and the
+gathers around it cost more than K-1 argmins up to K = 12-16 on europe71's
+beams, and the bundled config and workloads use K <= 8.  On a beam's few
+hundred users the calls, not the arithmetic, set the cost, so a pass keeps
+its scalars as Python floats.  G takes 8 n^2 bytes for n users; it is built
+for the whole beam and rebuilt on the remaining users each time half of
+them have been taken, which keeps the rounding of the distances small and
+costs O(n^2 d) per beam in all: the floor, about 0.14 s of the 0.24 s
+MaxDist takes on a europe71 K = 2 draw (one core).
 """
 
 from __future__ import annotations
@@ -47,11 +48,7 @@ def channel_features(channel_vectors) -> np.ndarray:
     Euclidean distance in the embedding equals the complex Euclidean distance.
     """
     h = np.asarray(channel_vectors)
-    single = h.ndim == 1
-    if single:
-        h = h[None, :]
-    feats = np.hstack([h.real, h.imag])
-    return feats[0] if single else feats
+    return np.hstack([h.real, h.imag])
 
 
 def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> np.ndarray:
@@ -87,7 +84,7 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> np.ndar
             raise ValidationError(f"beam {beam_id}: features too large for the distance table")
         far = gram.diagonal().copy()    # |x_i|^2, -inf once taken
         floor = TIE_RTOL * float(far.max())  # least tie tolerance: the table's rounding scale
-        near = far.copy()               # |x_i|^2, +inf once taken
+        near = far / 2                  # |x_i|^2 / 2, +inf once taken (read only if k > 1)
         bary = np.empty_like(far)
         dist = np.empty_like(far)
         picked = []                     # local indices of this table's passes, row by row
@@ -107,41 +104,30 @@ def max_dist_partition(features, cluster_size: int, beam_id: int = 0) -> np.ndar
                 cut = top - max(TIE_RTOL * abs(top + total / (m * m)), floor)
                 if bary.item(bary[:ref].argmax()) >= cut:
                     ref = int((bary[:ref] >= cut).argmax())
-            if k == 1:
-                picked.append(ref)
-                total += gram.item(ref, ref) - 2.0 * row_sum.item(ref)
-                row_sum -= gram[ref]
-                far[ref] = -np.inf
-                m -= 1
-                continue
-            # |x_i - x_ref|^2 less the common |x_ref|^2
-            g_ref = gram[ref]
-            np.multiply(g_ref, -2.0, dist)
-            dist += near
-            if k == 2:
-                dist[ref] = np.inf
-                mate = int(dist.argmin())
-                picked += (ref, mate) if ref < mate else (mate, ref)
-                taken = g_ref + gram[mate]
-                total += ((taken.item(ref) + taken.item(mate))
-                          - 2.0 * (row_sum.item(ref) + row_sum.item(mate)))
-                row_sum -= taken
-                far[ref] = far[mate] = -np.inf
-                near[ref] = near[mate] = np.inf
-                m -= 2
-                continue
-            # the k smallest, ties to the lowest index: a stable sort's first k
-            dist[ref] = -np.inf         # reference always in
-            kth = np.partition(dist, k - 1)[k - 1]
-            sel = dist < kth
-            sel[np.flatnonzero(dist == kth)[:k - np.count_nonzero(sel)]] = True
-            take = np.flatnonzero(sel)
-            picked += take.tolist()
-            taken = gram[take].sum(axis=0)
-            total += float(taken[take].sum() - 2.0 * row_sum[take].sum())
+            take = [ref]
+            if k > 1:
+                # (|x_i - x_ref|^2 - |x_ref|^2) / 2 in one subtraction: halving
+                # is exact, so it ranks as |x_i - x_ref|^2 does; each argmin
+                # takes the nearest left, lowest index first, as a stable sort
+                np.subtract(near, gram[ref], dist)
+                mate = ref
+                for _ in range(k - 1):
+                    dist[mate] = near[mate] = np.inf
+                    mate = int(dist.argmin())
+                    take.append(mate)
+                near[mate] = np.inf     # the last mate
+                take.sort()
+            picked += take
+            taken = gram[take[0]]       # rows added in ascending index order
+            for j in take[1:]:
+                taken = taken + gram[j]
+            s_taken = s_row = 0.0
+            for j in take:
+                s_taken += taken.item(j)
+                s_row += row_sum.item(j)
+                far[j] = -np.inf
+            total += s_taken - 2.0 * s_row
             row_sum -= taken
-            far[take] = -np.inf
-            near[take] = np.inf
             m -= k
         start = n - ids.size            # users taken before this table
         table.flat[start:start + len(picked)] = ids[picked]

@@ -309,10 +309,12 @@ def test_follows_max_dist_on_tied_grid_features(seed, n, k, dim, span, log_scale
 
 
 @pytest.mark.parametrize("layout, sizes", [
-    # K = 3 takes the partition path with two neighbours; europe71 already
-    # takes about 20 s, so it keeps the shorter list
+    # K = 1, 2, 4, 8 are the acceptance sweep's sizes and K = 3 an odd one;
+    # hex7, quick to cluster, also takes K = 16 and 32, many argmins per
+    # pass, past the K where a partition would select faster; europe71
+    # already takes about 15 s, so it keeps the sweep's sizes only
     pytest.param(layout, sizes, id=layout) for layout, sizes in (
-        ("beams_hex7.json", (1, 2, 3, 4, 8)),
+        ("beams_hex7.json", (1, 2, 3, 4, 8, 16, 32)),
         ("beams_hex19.json", (1, 2, 3, 4, 8)),
         ("beams_europe71.json", (1, 2, 4, 8)),
     )
