@@ -11,8 +11,9 @@ of `_CHUNK_ROWS // (N_B * N_B * K)`: a block gathers its clusters' members
 (about 1 MiB of channel vectors), forms their equivalent vectors, and
 solves and scores all of its frames in one call per stage, each frame to
 the bit as on its own.  Every RNG stream derives from (master_seed,
-iteration, purpose), so the run is reproducible at any worker count; each
-cell's rows are written an iteration at a time.
+iteration, purpose), so the run is reproducible at any worker count.  An
+iteration's rows are written, and only its `IterationMetrics` kept, as it
+arrives, so memory does not grow with the iteration count.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import __version__
 from . import channel as chn
 from . import clustering, geometry, precoding, scheduling
 from .errors import GeometryError, ValidationError
-from .link_adaptation import aggregate, cluster_rates
+from .link_adaptation import IterationMetrics, aggregate, cluster_rates, reduce_iteration
 from .scenario import Scenario, check_density_supports_clusters, deploy_users
 
 # purpose tags for the per-iteration seed streams
@@ -80,6 +81,7 @@ class PolicyIterationData:
     rates: np.ndarray                     # (n_frames, N_B) bit/s/Hz
     loss_flags: np.ndarray                # (n_frames,) bool
     sectors: np.ndarray                   # (n_frames,) sector label (NO_SECTOR for random)
+    metrics: IterationMetrics             # what aggregation and iterations.csv read
     traces: dict = field(default_factory=dict)  # file name -> table, when traces are kept
     user_map: dict | None = None          # a row per user: mean SINRs over its frames
 
@@ -202,7 +204,7 @@ def run_iteration(scenario: Scenario, cluster_sizes, density: float, policies, i
             )
             mapped = None           # the first size that succeeds carries the map
         except _CELL_ERRORS as exc:
-            results[cluster_size] = exc
+            results[cluster_size] = exc.with_traceback(None)    # its frames hold `results`
     return results
 
 
@@ -241,7 +243,7 @@ def _evaluate_policy(scenario, policy, state, iteration, p_tx, collect_trace, co
         blocks.append(block if keep_sinrs else block[:2])
     rates, loss_flags, *sinrs = (np.concatenate(part) for part in zip(*blocks))
 
-    data = PolicyIterationData(rates, loss_flags, seq.sector)
+    data = PolicyIterationData(rates, loss_flags, seq.sector, reduce_iteration(rates, loss_flags))
     if not keep_sinrs:
         return data
     members, prec = sinrs
@@ -412,6 +414,13 @@ def _append_iteration(cell, result):
                 "rate": data.rates.ravel(),
             },
             "frames.csv": {"frame": frame, "sector": data.sectors, "loss": data.loss_flags},
+            "iterations.csv": {
+                "eta_bar": [data.metrics.eta],
+                "loss_frame_fraction": [data.metrics.loss_fraction],
+                "n_frames": [data.metrics.n_frames],
+                "deployment_hash": [result.deployment_hash],
+                "channel_hash": [result.channel_hash],
+            },
             **data.traces,
         }
         for name, table in tables.items():
@@ -421,22 +430,6 @@ def _append_iteration(cell, result):
         if data.user_map is not None:
             paths.append(os.path.join(cell, policy, "user_map.csv"))
             _write_table(paths[-1], data.user_map)
-    return paths
-
-
-def _write_iterations(cell, results, report):
-    """Each policy's per-iteration metrics of a completed cell; returns the paths."""
-    paths = []
-    for policy, agg in report.policies.items():
-        paths.append(os.path.join(cell, policy, "iterations.csv"))
-        _write_table(paths[-1], {
-            "iteration": [r.iteration for r in results],
-            "eta_bar": agg.per_iteration_eta,
-            "loss_frame_fraction": agg.per_iteration_loss_fraction,
-            "n_frames": agg.per_iteration_frames,
-            "deployment_hash": [r.deployment_hash for r in results],
-            "channel_hash": [r.channel_hash for r in results],
-        })
     return paths
 
 
@@ -531,9 +524,13 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
     if sweep is None:
         sweep = [(cfg.cluster_size, cfg.user_density)]
     sweep = list(dict.fromkeys(sweep))  # each cell once, where it first appears
+    policies = tuple(dict.fromkeys(policies))
     iterations = cfg.monte_carlo_iterations if iterations is None else int(iterations)
     if not sweep or iterations < 1:
         raise ValidationError("a run needs at least one sweep cell and one iteration")
+    for policy in policies:
+        if policy not in POLICIES:
+            raise ValidationError(f"unknown scheduler policy {policy!r}")
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
 
@@ -546,7 +543,7 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
             errors[cluster_size, density] = exc
         else:
             sizes.setdefault(density, []).append(cluster_size)
-    held = {(k, rho): [] for rho, ks in sizes.items() for k in ks}  # results, traces dropped
+    held = {(k, rho): [] for rho, ks in sizes.items() for k in ks}  # cell -> [{policy: metrics}]
     written = {}      # cell -> the files its iteration 0 started
     reports, artifacts = {}, []
     write = bool(out_dir)
@@ -554,14 +551,14 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
         for cell_dir in (_cell_dir(out_dir, *cell) for cell in sweep):
             if os.path.isdir(cell_dir):     # an earlier run's, into the same directory
                 shutil.rmtree(cell_dir)
-    units = [(scenario, sizes[rho], rho, tuple(policies), it, write and write_traces,
+    units = [(scenario, sizes[rho], rho, policies, it, write and write_traces,
               write and it == 0, write and channel_map and it == 0)
              for rho in sizes for it in range(iterations)]
     with _worker_pool(threads) if threads > 1 else contextlib.nullcontext() as pool:
         done = pool.map(run_iteration, *zip(*units)) if pool else itertools.starmap(
             run_iteration, units)
-        for (_, _, density, *_), by_size in zip(units, done):
-            for cluster_size, result in by_size.items():
+        for _, _, density, *_ in units:
+            for cluster_size, result in next(done).items():
                 cell = (cluster_size, density)
                 cell_dir = _cell_dir(out_dir, *cell)
                 if cell in errors:
@@ -576,21 +573,14 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
                     written.setdefault(cell, _append_iteration(cell_dir, result))
                 if result.channel_map is not None:
                     artifacts.append(write_channel_map(out_dir, density, *result.channel_map))
-                    result.channel_map = None
-                for data in result.per_policy.values():
-                    data.traces, data.user_map = {}, None
-                held[cell].append(result)
-                if len(held[cell]) < iterations:
-                    continue
-                results = held.pop(cell)        # the cell is complete
-                reports[cell] = aggregate(
-                    cluster_size, density,
-                    {p: [r.per_policy[p].rates for r in results] for p in policies},
-                    {p: [r.per_policy[p].loss_flags for r in results] for p in policies},
-                )
-                if write:
-                    artifacts += written.pop(cell)
-                    artifacts += _write_iterations(cell_dir, results, reports[cell])
+                held[cell].append({p: data.metrics for p, data in result.per_policy.items()})
+                if len(held[cell]) == iterations:       # the cell is complete
+                    per_iteration = held.pop(cell)
+                    reports[cell] = aggregate(cluster_size, density, {
+                        p: [metrics[p] for metrics in per_iteration] for p in policies})
+                    if write:
+                        artifacts += written.pop(cell)
+            del result          # the iteration's arrays go before the next one arrives
     reports = {cell: reports[cell] for cell in sweep if cell in reports}
     diagnostics = [f"K={k} rho={r:g}: {errors[k, r]}" for k, r in sweep if (k, r) in errors]
 

@@ -2,14 +2,16 @@
 
 A cluster decodes at the spectral efficiency its weakest member supports:
 the minimum member SINR selects the highest ModCod threshold it still
-clears (0 below the table = outage).  Aggregation pools rates over frames,
-beams, and Monte Carlo iterations into the average spectral efficiency,
-the GSA-minus-random gain, and the precoding-loss frame fraction.
+clears (0 below the table = outage).  Each iteration is reduced to a few
+numbers, which aggregation pools over Monte Carlo iterations into the
+average spectral efficiency, the GSA-minus-random gain, and the
+precoding-loss frame fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +35,24 @@ def cluster_rates(member_sinrs_linear, sizes, modcod: ModCodTable) -> np.ndarray
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     worst = np.minimum.reduceat(g, offsets)
     return modcod.efficiency(10.0 * np.log10(np.maximum(worst, 1e-300)))
+
+
+class IterationMetrics(NamedTuple):
+    """One policy's iteration reduced to what aggregation and `iterations.csv` read."""
+
+    eta: float              # mean rate over the (frame, beam) slots
+    n_frames: int
+    rate_sum: float         # sum of the rates over the n_slots (frame, beam) slots
+    n_slots: int
+    loss_fraction: float    # share of lost frames, 0.0 for no frames
+    n_lost: int
+
+
+def reduce_iteration(rates, loss_flags) -> IterationMetrics:
+    """An iteration's (n_frames, N_B) rates and per-frame loss flags, reduced."""
+    return IterationMetrics(float(np.mean(rates)), len(rates), float(np.sum(rates)), rates.size,
+                            float(np.mean(loss_flags)) if len(loss_flags) else 0.0,
+                            int(np.sum(loss_flags)))
 
 
 @dataclass
@@ -64,35 +84,24 @@ class MetricsReport:
         return None
 
 
-def aggregate_policy(per_iteration_rates, per_iteration_loss_flags) -> PolicyAggregate:
-    """Pool per-iteration frame/beam rate arrays into one policy's metrics.
-
-    `per_iteration_rates[i]` is the (n_frames_i, N_B) rate array of iteration
-    i and `per_iteration_loss_flags[i]` the matching per-frame loss flags.
-    """
-    if not per_iteration_rates:
+def aggregate_policy(per_iteration) -> PolicyAggregate:
+    """Pool one policy's `IterationMetrics`, in iteration order, weighting every
+    (frame, beam) slot alike."""
+    if not per_iteration:
         raise ValidationError("aggregation needs at least one iteration")
-    etas = np.array([float(np.mean(r)) for r in per_iteration_rates])
-    frames = np.array([len(r) for r in per_iteration_rates])
-    losses = np.array([float(np.mean(f)) if len(f) else 0.0 for f in per_iteration_loss_flags])
-    total_rate = sum(float(np.sum(r)) for r in per_iteration_rates)
-    total_cells = sum(r.size for r in per_iteration_rates)
-    total_loss = sum(int(np.sum(f)) for f in per_iteration_loss_flags)
-    total_frames = int(frames.sum())
+    eta, frames, rate_sum, slots, loss, lost = zip(*per_iteration)
     return PolicyAggregate(
-        eta_bar=total_rate / total_cells,
-        loss_frame_fraction=total_loss / total_frames,
-        n_frames=total_frames,
-        n_iterations=len(per_iteration_rates),
-        per_iteration_eta=etas,
-        per_iteration_loss_fraction=losses,
-        per_iteration_frames=frames,
+        eta_bar=sum(rate_sum) / sum(slots),
+        loss_frame_fraction=sum(lost) / sum(frames),
+        n_frames=sum(frames),
+        n_iterations=len(per_iteration),
+        per_iteration_eta=np.array(eta),
+        per_iteration_loss_fraction=np.array(loss),
+        per_iteration_frames=np.array(frames),
     )
 
 
-def aggregate(cluster_size, density, rates_by_policy, loss_by_policy) -> MetricsReport:
-    """Build the cell-level metrics report from per-policy iteration outputs."""
-    report = MetricsReport(int(cluster_size), float(density))
-    for policy, rates in rates_by_policy.items():
-        report.policies[policy] = aggregate_policy(rates, loss_by_policy[policy])
-    return report
+def aggregate(cluster_size, density, metrics_by_policy) -> MetricsReport:
+    """The cell's metrics report from each policy's list of `IterationMetrics`."""
+    return MetricsReport(int(cluster_size), float(density),
+                         {p: aggregate_policy(m) for p, m in metrics_by_policy.items()})

@@ -39,6 +39,27 @@ def square_beam():
     return beam_from_xy([(a, a), (-a, a), (-a, -a), (a, -a)])
 
 
+def pooled_from_arrays(per_iteration_rates, per_iteration_loss_flags):
+    """One policy's aggregate computed from its whole per-iteration arrays.
+
+    The formula aggregation used when it held every iteration's (n_frames, N_B)
+    rates and per-frame loss flags: the reference the reduced aggregate must
+    match bit for bit, as `PolicyAggregate` field values.
+    """
+    rates, flags = per_iteration_rates, per_iteration_loss_flags
+    frames = np.array([len(r) for r in rates])
+    return {
+        "eta_bar": sum(float(np.sum(r)) for r in rates) / sum(r.size for r in rates),
+        "loss_frame_fraction": sum(int(np.sum(f)) for f in flags) / int(frames.sum()),
+        "n_frames": int(frames.sum()),
+        "n_iterations": len(rates),
+        "per_iteration_eta": np.array([float(np.mean(r)) for r in rates]),
+        "per_iteration_loss_fraction": np.array(
+            [float(np.mean(f)) if len(f) else 0.0 for f in flags]),
+        "per_iteration_frames": frames,
+    }
+
+
 def bundled_scenario(layout="beams_hex7.json", **config_overrides):
     scenario = load_scenario(
         str(data_path("config_default.yaml")),

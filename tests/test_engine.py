@@ -1,15 +1,17 @@
+import csv
 import hashlib
 import multiprocessing
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from beamsim import clustering, engine, geometry, precoding, scheduling
 from beamsim.errors import ValidationError
-from beamsim.link_adaptation import aggregate, cluster_rates
+from beamsim.link_adaptation import cluster_rates
 
-from conftest import bundled_scenario
+from conftest import bundled_scenario, pooled_from_arrays
 
 
 @pytest.fixture(scope="module")
@@ -49,16 +51,19 @@ def test_run_iteration_smoke(small_scenario):
 
 
 
+def _plain(fields):
+    """{field name: value}, arrays as lists, so that == compares every value."""
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in fields.items()}
+
+
 def _report_values(report):
-    return {policy: (agg.eta_bar, agg.loss_frame_fraction, agg.n_frames, agg.n_iterations,
-                     agg.per_iteration_eta.tolist(), agg.per_iteration_loss_fraction.tolist(),
-                     agg.per_iteration_frames.tolist())
-            for policy, agg in report.policies.items()}
+    return {policy: _plain(vars(agg)) for policy, agg in report.policies.items()}
 
 
 def test_sweep_reports_pool_their_own_iterations(small_scenario):
     # each cell's report aggregates exactly the results of its own K, density and
-    # iterations, computed here one cell-iteration at a time
+    # iterations, computed here one cell-iteration at a time and pooled from the
+    # whole arrays
     sweep = [(1, 2.5e-4), (2, 2.5e-4), (2, 4e-4)]
     reports, _ = engine.run_experiment(small_scenario, sweep=sweep, iterations=2)
     assert list(reports) == sweep
@@ -73,8 +78,8 @@ def test_sweep_reports_pool_their_own_iterations(small_scenario):
             assert agg.n_frames == sum(frames)
             assert agg.n_iterations == 2
             assert 0.0 <= agg.loss_frame_fraction <= 1.0
-        assert _report_values(reports[k, rho]) == _report_values(
-            aggregate(k, rho, rates, loss))
+        assert _report_values(reports[k, rho]) == {
+            p: _plain(pooled_from_arrays(rates[p], loss[p])) for p in engine.POLICIES}
     # the single-cell entry point reports what the sweep does
     assert _report_values(engine.run_cell(small_scenario, 2, 4e-4, iterations=2)) == (
         _report_values(reports[2, 4e-4]))
@@ -558,3 +563,119 @@ def test_manifest_contents(small_scenario, tmp_path):
     assert manifest.config_hash == engine.scenario_hash(small_scenario)
     assert (out / "manifest.json").exists()
     assert any(name.endswith("summary.csv") for name in manifest.artifacts)
+
+
+def test_unknown_policy_rejected_before_any_draw(small_scenario, tmp_path, monkeypatch):
+    # a misspelt policy used to draw and evaluate every iteration, then fail
+    # each cell on its own
+    def no_draw(*args):
+        raise AssertionError("a unit started")
+
+    monkeypatch.setattr(engine, "draw_iteration", no_draw)
+    out = tmp_path / "bogus"
+    with pytest.raises(ValidationError, match="unknown scheduler policy 'bogus'"):
+        engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4)], policies=("gsa", "bogus"),
+                              out_dir=str(out), iterations=1)
+    assert not out.exists()
+
+
+def test_repeated_policies_run_once(small_scenario, tmp_path):
+    # as a repeated sweep cell does: once, where it first appears
+    trees = []
+    for name, policies in (("repeated", ("gsa", "gsa", "random", "gsa")),
+                           ("once", ("gsa", "random"))):
+        out = tmp_path / name
+        reports, manifest = engine.run_experiment(
+            small_scenario, sweep=[(2, 2.5e-4)], policies=policies, out_dir=str(out),
+            iterations=1)
+        assert manifest.policies == ["gsa", "random"]
+        assert list(reports[2, 2.5e-4].policies) == ["gsa", "random"]
+        trees.append(tree_files(out))
+    assert trees[0] == trees[1]
+
+
+def test_an_iteration_is_dropped_before_the_next_arrives(small_scenario, tmp_path, monkeypatch):
+    # a run holds one iteration's arrays whatever its iteration count: when
+    # iteration i + 1 is drawn, iteration i's rates, loss flags, traces, user
+    # maps and channel map are dead without a garbage collection, also beside
+    # a cluster size that fails
+    run_iteration, build_iteration = engine.run_iteration, engine.build_iteration
+
+    def failing_k4(scenario, cluster_size, draw):
+        if cluster_size == 4:
+            raise ValidationError("injected failure")
+        return build_iteration(scenario, cluster_size, draw)
+
+    refs = []                   # (iteration, K, what) -> weak reference
+
+    def tracked(*args, **kwargs):
+        held = [key for key, ref in refs if ref() is not None]
+        assert not held, f"held when iteration {args[4]} is drawn: {held}"
+        by_size = run_iteration(*args, **kwargs)
+        for k, result in by_size.items():
+            if isinstance(result, Exception):
+                continue
+            if result.channel_map is not None:
+                refs.append(((args[4], k, "channel map"), weakref.ref(result.channel_map[1])))
+            for policy, data in result.per_policy.items():
+                tables = {"rates": data.rates, "loss": data.loss_flags,
+                          **{f"{name}:{col}": a for name, table in data.traces.items()
+                             for col, a in table.items()},
+                          **{f"user map:{col}": a for col, a in (data.user_map or {}).items()}}
+                refs.extend(((args[4], k, f"{policy} {what}"), weakref.ref(a))
+                            for what, a in tables.items())
+        return by_size
+
+    monkeypatch.setattr(engine, "run_iteration", tracked)
+    monkeypatch.setattr(engine, "build_iteration", failing_k4)
+    # K = 4 fails between the others, so the last size of an iteration succeeds
+    reports, _ = engine.run_experiment(small_scenario, sweep=[(k, 2.5e-4) for k in (1, 4, 2)],
+                                       out_dir=str(tmp_path), iterations=4, channel_map=True)
+    assert list(reports) == [(1, 2.5e-4), (2, 2.5e-4)]
+    assert {key[2] for key, _ in refs} >= {"channel map", "gsa rates",
+                                           "random sinr_trace.csv:precoded_db",
+                                           "gsa user map:frames_served"}
+    assert not [key for key, ref in refs if ref() is not None]
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_run_directory_reads_back_consistent(small_scenario, tmp_path):
+    # every aggregate the run writes, recomputed from the rows it wrote beside
+    # them; the files hold floats to 10 significant digits (%.10g), hence the
+    # tolerance
+    def close(written, expected):
+        return np.isclose(float(written), expected, rtol=1e-9, atol=1e-9)
+
+    sweep = [(1, 2.5e-4), (2, 2.5e-4)]
+    engine.run_experiment(small_scenario, sweep=sweep, out_dir=str(tmp_path), iterations=2,
+                          write_traces=False)
+    summary = {(int(r["cluster_size"]), r["policy"]): r
+               for r in _read_csv(tmp_path / "summary.csv")}
+    gains = {int(r["cluster_size"]): float(r["gain"]) for r in _read_csv(tmp_path / "gains.csv")}
+    assert sorted(summary) == [(k, p) for k, _ in sweep for p in ("gsa", "random")]
+    assert sorted(gains) == [k for k, _ in sweep]
+    for k, rho in sweep:
+        for policy in engine.POLICIES:
+            cell = tmp_path / f"K{k}_rho{rho:g}" / policy
+            # columns iteration, frame, beam, rate and iteration, frame, sector, loss
+            rates = np.loadtxt(cell / "rates.csv", delimiter=",", skiprows=1)
+            frames = np.loadtxt(cell / "frames.csv", delimiter=",", skiprows=1)
+            rows = _read_csv(cell / "iterations.csv")
+            assert [int(r["iteration"]) for r in rows] == [0, 1]
+            for it, row in enumerate(rows):
+                r, f = rates[rates[:, 0] == it, 3], frames[frames[:, 0] == it, 3]
+                assert int(row["n_frames"]) == len(f)
+                assert len(r) == len(f) * small_scenario.n_beams
+                assert close(row["eta_bar"], r.mean()), (k, policy, it)
+                assert close(row["loss_frame_fraction"], f.mean()), (k, policy, it)
+            pooled = summary[k, policy]
+            assert close(pooled["eta_bar"], rates[:, 3].mean()), (k, policy)
+            assert close(pooled["loss_frame_fraction"], frames[:, 3].mean()), (k, policy)
+            assert int(pooled["n_frames"]) == len(frames)
+            assert int(pooled["n_iterations"]) == 2
+        assert close(gains[k], float(summary[k, "gsa"]["eta_bar"])
+                     - float(summary[k, "random"]["eta_bar"])), k

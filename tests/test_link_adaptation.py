@@ -1,9 +1,14 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamsim.errors import ValidationError
-from beamsim.link_adaptation import aggregate, aggregate_policy, cluster_rates
+from beamsim.link_adaptation import aggregate, aggregate_policy, cluster_rates, reduce_iteration
 from beamsim.scenario import ModCodTable
+
+from conftest import pooled_from_arrays
 
 
 @pytest.fixture
@@ -81,10 +86,15 @@ def test_rate_monotone_in_member_sinr(table):
 # aggregation
 # ---------------------------------------------------------------------------
 
+def pooled(rates, loss):
+    """aggregate_policy over the iterations' arrays, each reduced as the engine does."""
+    return aggregate_policy([reduce_iteration(r, f) for r, f in zip(rates, loss)])
+
+
 def test_constant_rates(table):
     rates = [np.full((4, 3), 2.5)]
     loss = [np.zeros(4, dtype=bool)]
-    agg = aggregate_policy(rates, loss)
+    agg = pooled(rates, loss)
     assert agg.eta_bar == 2.5
     assert agg.loss_frame_fraction == 0.0
     assert agg.n_frames == 4
@@ -93,7 +103,7 @@ def test_constant_rates(table):
 def test_two_frame_mean(table):
     rates = [np.array([[1.0], [3.0]])]
     loss = [np.array([True, False])]
-    agg = aggregate_policy(rates, loss)
+    agg = pooled(rates, loss)
     assert agg.eta_bar == 2.0
     assert agg.loss_frame_fraction == 0.5
 
@@ -102,7 +112,7 @@ def test_pooled_mean_weights_frames():
     # iterations with different frame counts pool by frame-beam cells
     rates = [np.ones((2, 2)), 3.0 * np.ones((6, 2))]
     loss = [np.zeros(2, dtype=bool), np.ones(6, dtype=bool)]
-    agg = aggregate_policy(rates, loss)
+    agg = pooled(rates, loss)
     assert agg.eta_bar == pytest.approx((2 * 2 * 1.0 + 6 * 2 * 3.0) / 16.0)
     assert agg.loss_frame_fraction == pytest.approx(6.0 / 8.0)
     assert np.array_equal(agg.per_iteration_eta, [1.0, 3.0])
@@ -112,13 +122,41 @@ def test_order_invariance():
     rng = np.random.default_rng(32)
     rates = [rng.uniform(0, 4, size=(5, 3)) for _ in range(6)]
     loss = [rng.uniform(size=5) < 0.3 for _ in range(6)]
-    agg = aggregate_policy(rates, loss)
+    agg = pooled(rates, loss)
     perm = [4, 2, 0, 5, 1, 3]
-    agg_perm = aggregate_policy([rates[i] for i in perm], [loss[i] for i in perm])
+    agg_perm = pooled([rates[i] for i in perm], [loss[i] for i in perm])
     assert agg_perm.eta_bar == pytest.approx(agg.eta_bar, rel=1e-12)
     shuffled = [r[::-1].copy() for r in rates]    # frame order within iterations
-    agg_shuf = aggregate_policy(shuffled, loss)
+    agg_shuf = pooled(shuffled, loss)
     assert agg_shuf.eta_bar == pytest.approx(agg.eta_bar, rel=1e-12)
+
+
+@st.composite
+def iteration_arrays(draw):
+    """Rate arrays and loss flags of 1-6 iterations over one beam count, each
+    with its own frame count; rates are ModCod-like efficiencies or any float."""
+    n_beams = draw(st.integers(1, 8))
+    rate = st.one_of(st.sampled_from([0.0, 0.434, 1.0, 2.5, 4.453]),
+                     st.floats(0.0, 6.0, allow_subnormal=False))
+    rates, loss = [], []
+    for n_frames in draw(st.lists(st.integers(1, 30), min_size=1, max_size=6)):
+        rates.append(draw(hnp.arrays(float, (n_frames, n_beams), elements=rate)))
+        loss.append(draw(hnp.arrays(bool, n_frames)))
+    return rates, loss
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays=iteration_arrays())
+def test_reduced_aggregate_matches_the_whole_arrays_bit_for_bit(arrays):
+    rates, loss = arrays
+    agg = pooled(rates, loss)
+    for name, expected in pooled_from_arrays(rates, loss).items():
+        got = getattr(agg, name)
+        assert type(got) is type(expected), name
+        if isinstance(expected, np.ndarray):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        else:
+            assert got == expected, name
 
 
 def test_cell_report_and_gain():
@@ -130,14 +168,14 @@ def test_cell_report_and_gain():
         "random": [np.array([True, True, False])],
         "gsa": [np.array([False, False, False, True])],
     }
-    report = aggregate(2, 1e-3, rates, loss)
+    reduced = {p: [reduce_iteration(r, f) for r, f in zip(rates[p], loss[p])] for p in rates}
+    report = aggregate(2, 1e-3, reduced)
     assert report.gain == pytest.approx(0.3)
     assert report.policies["random"].loss_frame_fraction == pytest.approx(2.0 / 3.0)
-    only_random = aggregate(2, 1e-3, {"random": rates["random"]},
-                            {"random": loss["random"]})
+    only_random = aggregate(2, 1e-3, {"random": reduced["random"]})
     assert only_random.gain is None
 
 
 def test_empty_aggregation_rejected():
     with pytest.raises(ValidationError):
-        aggregate_policy([], [])
+        aggregate_policy([])
