@@ -22,6 +22,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import shutil
@@ -34,7 +35,7 @@ from . import __version__
 from . import channel as chn
 from . import clustering, geometry, precoding, scheduling
 from .errors import GeometryError, ValidationError
-from .link_adaptation import IterationMetrics, aggregate, cluster_rates, reduce_iteration
+from .link_adaptation import IterationMetrics, aggregate, cluster_rates, reduce_iteration, to_db
 from .scenario import Scenario, check_density_supports_clusters, deploy_users
 
 # purpose tags for the per-iteration seed streams
@@ -76,7 +77,7 @@ class IterationState:
 
 @dataclass
 class PolicyIterationData:
-    """One policy's frames in one iteration; a table maps column name -> 1-D array."""
+    """One policy's frames in one iteration; a table maps column name -> values of one shape."""
 
     rates: np.ndarray                     # (n_frames, N_B) bit/s/Hz
     loss_flags: np.ndarray                # (n_frames,) bool
@@ -96,10 +97,6 @@ class IterationResult:
 
 
 _CELL_ERRORS = (ValidationError, GeometryError, np.linalg.LinAlgError)
-
-
-def _db(x):
-    return 10.0 * np.log10(np.maximum(x, 1e-300))
 
 
 def draw_iteration(scenario: Scenario, density: float, iteration: int) -> IterationDraw:
@@ -156,7 +153,7 @@ def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) 
         rows = slice(first_cluster[bi], first_cluster[bi] + n_clusters[bi])
         clusters[rows] = np.where(local >= 0, first_user[bi] + local, -1)
         bary = clustering.cluster_means(xy, local)
-        phi, radius = geometry.normalized_polar_from_xy(beam.boundary_xy, *bary.T, clamp=True)
+        phi, radius = geometry.normalized_polar_from_xy(beam.boundary_xy, *bary.T)
         sector[rows] = grid.assign(phi, radius)
 
     return IterationState(
@@ -249,19 +246,20 @@ def _evaluate_policy(scenario, policy, state, iteration, p_tx, collect_trace, co
     members, prec = sinrs
     if collect_trace:
         frame_no = np.arange(1, n_frames + 1)
+        shape = seq.selection.shape     # (n_frames, N_B)
         data.traces["schedule.csv"] = {
-            "frame": np.repeat(frame_no, n_beams),
-            "sector": np.repeat(seq.sector, n_beams),
-            "beam": np.tile(np.arange(n_beams), n_frames),
-            "cluster": seq.selection.ravel(),
-            "borrowed": seq.borrowed.ravel(),
+            "frame": np.broadcast_to(frame_no[:, None], shape),
+            "sector": np.broadcast_to(seq.sector[:, None], shape),
+            "beam": np.broadcast_to(np.arange(n_beams), shape),
+            "cluster": seq.selection,
+            "borrowed": seq.borrowed,
         }
         data.traces["sinr_trace.csv"] = {
             "frame": np.repeat(frame_no, state.cluster_sizes[rows].sum(axis=1)),
             "beam": beam_idx[members],
             "user": members,
-            "precoded_db": _db(prec),
-            "nonprecoded_db": _db(nonprec_all[members]),
+            "precoded_db": to_db(prec),
+            "nonprecoded_db": to_db(nonprec_all[members]),
         }
     if collect_map:
         n_users = len(nonprec_all)
@@ -269,14 +267,14 @@ def _evaluate_policy(scenario, policy, state, iteration, p_tx, collect_trace, co
         prec_sum = np.bincount(members, weights=prec, minlength=n_users)
         served = serve_count > 0
         mean_prec = np.full(n_users, np.nan)
-        mean_prec[served] = _db(prec_sum[served] / serve_count[served])
+        mean_prec[served] = to_db(prec_sum[served] / serve_count[served])
         data.user_map = {
             "beam": dep.beam_id,
             "user": np.arange(n_users),
             "lat": dep.lat,
             "lon": dep.lon,
             "mean_precoded_db": mean_prec,
-            "mean_nonprecoded_db": _db(nonprec_all),
+            "mean_nonprecoded_db": to_db(nonprec_all),
             "frames_served": serve_count,
         }
     return data
@@ -348,8 +346,9 @@ def scenario_hash(scenario: Scenario) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-# Rows per formatted block of a table, and member channel vector entries per
-# block of precoded frames; bounds what either holds at once.
+# Rows per formatted block of a table (whole rows of its leading axis), and
+# member channel vector entries per block of precoded frames; bounds what
+# either holds at once.
 _CHUNK_ROWS = 65536
 
 
@@ -358,29 +357,32 @@ _FIELD_FORMATS = {"b": "%d", "i": "%d", "u": "%d", "f": "%.10g", "U": "%s"}
 
 
 def table_blocks(columns):
-    """{column name: 1-D values} as CSV text: the header line, then blocks of
-    `_CHUNK_ROWS` rows.
+    """{column name: values} as CSV text: the header line, then blocks of
+    about `_CHUNK_ROWS` rows.
 
-    Integers and bools are written as integers, floats to 10 significant
-    digits (`nan` for NaN), strings as they are.  The columns' lengths and
-    dtypes are checked when the header is taken.
+    Every column has the first's shape, of one or more axes, with no
+    broadcasting; a row is written per element, in C order, and a block is
+    a slice of the leading axis.  Integers and bools are written as
+    integers, floats to 10 significant digits (`nan` for NaN), strings as
+    they are.  Shapes and dtypes are checked when the header is taken.
     """
     arrays = [np.asarray(c) for c in columns.values()]
-    n_rows = len(arrays[0])
-    if any(len(a) != n_rows for a in arrays):
-        raise ValueError(f"columns differ in length: {[len(a) for a in arrays]}")
+    shape = arrays[0].shape
+    if not shape or any(a.shape != shape for a in arrays):
+        raise ValueError(f"columns differ in shape or are scalars: {[a.shape for a in arrays]}")
     for a in arrays:
         if a.dtype.kind not in _FIELD_FORMATS:
             raise TypeError(f"no CSV format for dtype {a.dtype}")
     row = ",".join(_FIELD_FORMATS[a.dtype.kind] for a in arrays) + "\n"
     yield ",".join(columns) + "\n"
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        fields = [a[start:start + _CHUNK_ROWS].tolist() for a in arrays]
+    step = max(1, _CHUNK_ROWS // math.prod(shape[1:]))
+    for start in range(0, shape[0], step):
+        fields = [a[start:start + step].ravel().tolist() for a in arrays]
         yield row * len(fields[0]) % tuple(itertools.chain.from_iterable(zip(*fields)))
 
 
 def _write_table(path, columns, append=False):
-    """Write {column name: 1-D values} as CSV, formatted by `table_blocks`.
+    """Write {column name: values of one shape} as CSV, formatted by `table_blocks`.
 
     `append` adds the rows to the file without a header; appended tables
     join as one.
@@ -409,9 +411,9 @@ def _append_iteration(cell, result):
         frame = np.arange(1, n_frames + 1)
         tables = {
             "rates.csv": {
-                "frame": np.repeat(frame, n_beams),
-                "beam": np.tile(np.arange(n_beams), n_frames),
-                "rate": data.rates.ravel(),
+                "frame": np.broadcast_to(frame[:, None], data.rates.shape),
+                "beam": np.broadcast_to(np.arange(n_beams), data.rates.shape),
+                "rate": data.rates,
             },
             "frames.csv": {"frame": frame, "sector": data.sectors, "loss": data.loss_flags},
             "iterations.csv": {
@@ -425,7 +427,7 @@ def _append_iteration(cell, result):
         }
         for name, table in tables.items():
             paths.append(os.path.join(cell, policy, name))
-            rows = np.full(len(next(iter(table.values()))), result.iteration)
+            rows = np.broadcast_to(result.iteration, np.shape(next(iter(table.values()))))
             _write_table(paths[-1], {"iteration": rows, **table}, append=result.iteration > 0)
         if data.user_map is not None:
             paths.append(os.path.join(cell, policy, "user_map.csv"))
@@ -436,23 +438,19 @@ def _append_iteration(cell, result):
 def write_channel_map(out_dir, density, dep, magnitude_db):
     """Debug dump of iteration 0's |h| in dB, a row per (user, antenna); K plays no part.
 
-    Written `_CHUNK_ROWS // N_B` users at a time, so the expanded columns
-    of one block are held at once, not the whole map's.
+    The per-user columns are broadcast views of the (n_users, N_B) map, so
+    only the writer's block of rows is ever expanded.
     """
-    n_users, n_beams = magnitude_db.shape
+    shape = magnitude_db.shape
     path = os.path.join(out_dir, f"channel_map_rho{density:g}.csv")
-    step = max(1, _CHUNK_ROWS // n_beams)
-    for start in range(0, n_users, step):
-        block = slice(start, min(start + step, n_users))
-        users = np.arange(block.start, block.stop)
-        _write_table(path, {
-            "beam": np.repeat(dep.beam_id[block], n_beams),
-            "user": np.repeat(users, n_beams),
-            "lat": np.repeat(dep.lat[block], n_beams),
-            "lon": np.repeat(dep.lon[block], n_beams),
-            "antenna": np.tile(np.arange(n_beams), len(users)),
-            "magnitude_db": magnitude_db[block].ravel(),
-        }, append=start > 0)
+    _write_table(path, {
+        "beam": np.broadcast_to(dep.beam_id[:, None], shape),
+        "user": np.broadcast_to(np.arange(shape[0])[:, None], shape),
+        "lat": np.broadcast_to(dep.lat[:, None], shape),
+        "lon": np.broadcast_to(dep.lon[:, None], shape),
+        "antenna": np.broadcast_to(np.arange(shape[1]), shape),
+        "magnitude_db": magnitude_db,
+    })
     return path
 
 

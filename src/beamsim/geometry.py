@@ -196,27 +196,19 @@ def edge_midpoints_xy(boundary_xy):
 # Normalized polar coordinates
 # ---------------------------------------------------------------------------
 
-def normalized_polar_from_xy(boundary_xy, x, y, clamp=False):
+def normalized_polar_from_xy(boundary_xy, x, y):
     """Normalized polar coordinates (phi, radius) of tangent-plane points.
 
     phi is in [0, 2pi) and radius in [0, 1]; a point at the center gets
-    (0, 0).  ``clamp`` maps points marginally outside the boundary back onto
-    it (used for cluster barycentres of concave beams); without it, points
-    beyond the boundary raise ValidationError.
+    (0, 0), and a point outside the boundary (a cluster barycentre of a
+    concave beam) gets radius 1.
     """
     r = np.hypot(x, y)
     off_center = r > 0.0
     phi = np.where(off_center, np.arctan2(y, x) % TAU, 0.0)
     r_edge = np.ones_like(r)
     r_edge[off_center] = ray_boundary_distance(boundary_xy, phi[off_center])
-    radius = r / r_edge
-    if not clamp and np.any(radius > 1.0 + 1e-9):
-        i = np.argmax(radius)
-        raise ValidationError(
-            f"point at phi={phi.flat[i]:.4f}, r={r.flat[i]:.3f} km lies outside the beam "
-            f"boundary (edge at {r_edge.flat[i]:.3f} km)"
-        )
-    return phi, np.minimum(radius, 1.0)
+    return phi, np.minimum(r / r_edge, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,11 @@ from .errors import ValidationError
 from .scenario import ModCodTable
 
 
+def to_db(x):
+    """10 log10(x) of a power ratio, with x floored at 1e-300 so 0 stays finite."""
+    return 10.0 * np.log10(np.maximum(x, 1e-300))
+
+
 def cluster_rates(member_sinrs_linear, sizes, modcod: ModCodTable) -> np.ndarray:
     """Spectral efficiency (bit/s/Hz) of each scheduled cluster.
 
@@ -34,7 +39,7 @@ def cluster_rates(member_sinrs_linear, sizes, modcod: ModCodTable) -> np.ndarray
         raise ValidationError("cluster rates need SINRs that are not NaN")
     offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
     worst = np.minimum.reduceat(g, offsets)
-    return modcod.efficiency(10.0 * np.log10(np.maximum(worst, 1e-300)))
+    return modcod.efficiency(to_db(worst))
 
 
 class IterationMetrics(NamedTuple):

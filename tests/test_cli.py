@@ -136,7 +136,7 @@ def test_cluster_sectors_are_the_schedulers(layout, capsys):
             x, y = geometry.project_tangent(beam.center_lat, beam.center_lon,
                                             dep.lat[members], dep.lon[members])
             phi, radius = geometry.normalized_polar_from_xy(
-                beam.boundary_xy, np.array([x.mean()]), np.array([y.mean()]), clamp=True)
+                beam.boundary_xy, np.array([x.mean()]), np.array([y.mean()]))
             assert set(sector[mine]) == {grid.assign(phi, radius)[0]}
 
 

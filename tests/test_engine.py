@@ -9,7 +9,7 @@ import pytest
 
 from beamsim import clustering, engine, geometry, precoding, scheduling
 from beamsim.errors import ValidationError
-from beamsim.link_adaptation import cluster_rates
+from beamsim.link_adaptation import cluster_rates, to_db
 
 from conftest import bundled_scenario, pooled_from_arrays
 
@@ -40,6 +40,12 @@ def test_run_iteration_smoke(small_scenario):
         data = result.per_policy
         assert data["random"].rates.shape[1] == small_scenario.n_beams
         assert set(data["gsa"].traces) == {"schedule.csv", "sinr_trace.csv"}
+        for policy in ("random", "gsa"):
+            # schedule.csv keeps the (n_frames, N_B) shape of the selection
+            schedule = data[policy].traces["schedule.csv"]
+            assert {v.shape for v in schedule.values()} == {data[policy].rates.shape}
+            assert (schedule["frame"] == np.arange(1, len(data[policy].rates) + 1)[:, None]).all()
+            assert (schedule["beam"] == np.arange(small_scenario.n_beams)).all()
         # the user map only counts scheduled frames
         umap = data["gsa"].user_map
         assert (umap["frames_served"] > 0).all()   # GSA serves every cluster
@@ -128,8 +134,8 @@ def per_frame_reference(scenario, policy, state, iteration, p_tx):
             "frame": np.repeat(frame_no, [len(m) for m in frame_members]),
             "beam": dep.beam_idx[members],
             "user": members,
-            "precoded_db": engine._db(prec),
-            "nonprecoded_db": engine._db(nonprec[members]),
+            "precoded_db": to_db(prec),
+            "nonprecoded_db": to_db(nonprec[members]),
         },
     }
     n_users = len(h)
@@ -137,14 +143,14 @@ def per_frame_reference(scenario, policy, state, iteration, p_tx):
     prec_sum = np.bincount(members, weights=prec, minlength=n_users)
     served = serve_count > 0
     mean_prec = np.full(n_users, np.nan)
-    mean_prec[served] = engine._db(prec_sum[served] / serve_count[served])
+    mean_prec[served] = to_db(prec_sum[served] / serve_count[served])
     user_map = {
         "beam": dep.beam_id,
         "user": np.arange(n_users),
         "lat": dep.lat,
         "lon": dep.lon,
         "mean_precoded_db": mean_prec,
-        "mean_nonprecoded_db": engine._db(nonprec),
+        "mean_nonprecoded_db": to_db(nonprec),
         "frames_served": serve_count,
     }
     return rates, loss_flags, traces, user_map
@@ -157,9 +163,11 @@ def assert_same_frames(data, reference):
     assert data.traces.keys() == traces.keys()
     for name, table in traces.items():
         assert data.traces[name].keys() == table.keys()
+        # a table's columns share one shape; its rows are their elements in C order
+        assert len({np.shape(values) for values in data.traces[name].values()}) == 1, name
         for column, values in table.items():
-            np.testing.assert_array_equal(data.traces[name][column], values,
-                                          err_msg=f"{name}: {column}")
+            np.testing.assert_array_equal(np.ravel(data.traces[name][column]), values,
+                                          err_msg=f"{name}: {column}", strict=True)
     assert data.user_map.keys() == user_map.keys()
     for column, values in user_map.items():
         np.testing.assert_array_equal(data.user_map[column], values, err_msg=column)
@@ -264,7 +272,7 @@ def test_gsa_frames_match_sector_bound(small_scenario):
     # a beam borrows exactly when its own sector is empty
     assert np.array_equal(sched["borrowed"],
                           counts[sched["beam"], sched["sector"]] == 0)
-    assert len(sched["beam"]) == len(data.sectors) * n_beams
+    assert sched["beam"].shape == (len(data.sectors), n_beams)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -332,8 +340,60 @@ def test_table_writer_formats_by_dtype(tmp_path):
         "12,1,inf,4a44dc15\n"
         "5,0,nan,ef2d127d\n"
     )
-    with pytest.raises(ValueError, match="differ in length"):
+    with pytest.raises(ValueError, match="differ in shape"):
         engine._write_table(path, {"a": [1, 2], "b": [1.0]})
+
+
+@pytest.mark.parametrize("chunk", [1, 3 * 4, 5 * 4 + 3, 65536])
+def test_table_writer_2d_equals_its_ravelled_form(tmp_path, monkeypatch, chunk):
+    # an (n, m) table writes a row per element in C order, in blocks of whole
+    # leading-axis rows, whatever the block size
+    n, m = 11, 4
+    rng = np.random.default_rng(3)
+    value = rng.normal(size=(n, m))
+    flag = rng.integers(0, 2, (n, m)).astype(bool)
+    grid = {
+        "row": np.broadcast_to(np.arange(n)[:, None], (n, m)),
+        "col": np.broadcast_to(np.arange(m), (n, m)),
+        "tag": np.broadcast_to(np.array([f"{v:04x}" for v in range(n)])[:, None], (n, m)),
+        "iteration": np.broadcast_to(7, (n, m)),
+        "flag": flag,
+        "value": value,
+    }
+    flat = {
+        "row": np.repeat(np.arange(n), m),
+        "col": np.tile(np.arange(m), n),
+        "tag": np.repeat(np.array([f"{v:04x}" for v in range(n)]), m),
+        "iteration": np.full(n * m, 7),
+        "flag": flag.ravel(),
+        "value": value.ravel(),
+    }
+    expected = tmp_path / "flat.csv"
+    engine._write_table(expected, flat)
+    monkeypatch.setattr(engine, "_CHUNK_ROWS", chunk)
+    blocks = list(engine.table_blocks(grid))
+    assert len(blocks) == 1 + -(-n // max(1, chunk // m))
+    written = tmp_path / "grid.csv"
+    engine._write_table(written, grid)
+    assert written.read_text() == expected.read_text()
+    assert len(expected.read_text().splitlines()) == 1 + n * m
+
+
+@pytest.mark.parametrize("shapes", [
+    [(6,), (6, 1)],
+    [(6,), (1,)],
+    [(1,), (6,)],
+    [(3, 2), (2, 3)],
+    [(6,), ()],
+    [(), ()],
+], ids=["n-against-n1", "n-against-1", "1-against-n", "nm-against-mn", "scalar", "all-scalars"])
+def test_table_writer_does_not_broadcast(tmp_path, shapes):
+    # every column has exactly the table's shape, with at least one axis
+    path = tmp_path / "t.csv"
+    columns = {f"c{i}": np.zeros(shape) for i, shape in enumerate(shapes)}
+    with pytest.raises(ValueError, match="differ in shape"):
+        engine._write_table(path, columns)
+    assert not path.exists()
 
 
 def test_table_writer_checks_dtypes_before_opening(tmp_path):

@@ -76,9 +76,9 @@ def test_non_star_shaped_polygon_warns_and_takes_nearest():
 # normalized polar coordinates
 # ---------------------------------------------------------------------------
 
-def polar(beam, lat, lon, clamp=False):
+def polar(beam, lat, lon):
     x, y = geometry.project_tangent(beam.center_lat, beam.center_lon, lat, lon)
-    return normalized_polar_from_xy(beam.boundary_xy, x, y, clamp=clamp)
+    return normalized_polar_from_xy(beam.boundary_xy, x, y)
 
 
 def test_center_maps_to_origin(hexagon_beam):
@@ -108,13 +108,11 @@ def test_halfway_point_in_circle_beam(circle_beam):
     assert phi[0] == pytest.approx(0.0, abs=1e-9) or phi[0] == pytest.approx(TAU, abs=1e-9)
 
 
-def test_outside_point_raises(hexagon_beam):
+def test_outside_point_clamps_to_unit_radius(hexagon_beam):
     lat, lon = geometry.unproject_tangent(
         hexagon_beam.center_lat, hexagon_beam.center_lon, [100.0, 400.0], [0.0, 0.0]
     )
-    with pytest.raises(ValidationError):
-        polar(hexagon_beam, lat, lon)
-    _, radius = polar(hexagon_beam, lat, lon, clamp=True)
+    _, radius = polar(hexagon_beam, lat, lon)
     assert radius[0] == pytest.approx(0.4, rel=1e-3)
     assert radius[1] == 1.0
 
