@@ -11,9 +11,10 @@ of `_CHUNK_ROWS // (N_B * N_B * K)`: a block gathers its clusters' members
 (about 1 MiB of channel vectors), forms their equivalent vectors, and
 solves and scores all of its frames in one call per stage, each frame to
 the bit as on its own.  Every RNG stream derives from (master_seed,
-iteration, purpose), so the run is reproducible at any worker count.  An
-iteration's rows are written, and only its `IterationMetrics` kept, as it
-arrives, so memory does not grow with the iteration count.
+iteration, purpose), so the run is reproducible at any worker count.  A
+unit returns arrays, its draw's once; the parent builds every cell table
+from them (`_append_iteration`) and keeps only the `IterationMetrics`, as
+each iteration arrives, so memory does not grow with the iteration count.
 """
 
 from __future__ import annotations
@@ -77,23 +78,36 @@ class IterationState:
 
 @dataclass
 class PolicyIterationData:
-    """One policy's frames in one iteration; a table maps column name -> values of one shape."""
+    """One policy's frames in one iteration, as arrays; `_append_iteration` writes its tables.
 
+    The members, kept only when asked for, are the served users frame after
+    frame and cluster after cluster; the traces and user maps need them.
+    """
+
+    schedule: scheduling.ScheduleSequence
     rates: np.ndarray                     # (n_frames, N_B) bit/s/Hz
     loss_flags: np.ndarray                # (n_frames,) bool
-    sectors: np.ndarray                   # (n_frames,) sector label (NO_SECTOR for random)
     metrics: IterationMetrics             # what aggregation and iterations.csv read
-    traces: dict = field(default_factory=dict)  # file name -> table, when traces are kept
-    user_map: dict | None = None          # a row per user: mean SINRs over its frames
+    members: np.ndarray | None = None     # served user ids
+    precoded: np.ndarray | None = None    # their precoded SINRs
+    frame_members: np.ndarray | None = None  # (n_frames,) members each frame serves
 
 
 @dataclass
 class IterationResult:
+    """One (density, iteration): its draw's hashes and arrays once, and every size's policies.
+
+    `by_size` maps each K to {policy: PolicyIterationData}, or to the
+    validation, geometry or linear-algebra error that size raised.
+    """
+
     iteration: int
-    deployment_hash: str
-    channel_hash: str
-    per_policy: dict
-    channel_map: tuple | None = None      # the draw's (deployment, |h| in dB) when asked for
+    deployment_hash: str | None           # None when the draw itself failed
+    channel_hash: str | None
+    by_size: dict
+    users: np.recarray | None = None      # the deployment, to write members or the map with
+    nonprec: np.ndarray | None = None     # (n_users,) SINR without precoding, with the members
+    channel_map: np.ndarray | None = None # (n_users, N_B) |h| in dB, when asked for
 
 
 _CELL_ERRORS = (ValidationError, GeometryError, np.linalg.LinAlgError)
@@ -167,45 +181,41 @@ def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) 
 
 
 def run_iteration(scenario: Scenario, cluster_sizes, density: float, policies, iteration: int,
-                  collect_trace=False, collect_map=False, channel_map=False) -> dict:
+                  keep_members=False, channel_map=False) -> IterationResult:
     """Draw one (density, iteration) and evaluate each cluster size on it.
 
-    Returns {cluster size: IterationResult, or the validation, geometry or
-    linear-algebra error that size raised}; any other error propagates.  With
-    `channel_map`, the first size that succeeds carries the draw's map.
+    A size failing with a validation, geometry or linear-algebra error maps
+    to that error in `by_size`; any other error propagates.  `keep_members`
+    keeps each policy's members and the draw's deployment and non-precoded
+    SINRs, which the traces and user maps are written from; `channel_map`
+    adds the draw's |h| in dB and its deployment.
     """
-    cfg = scenario.config
     try:
         draw = draw_iteration(scenario, density, iteration)
     except _CELL_ERRORS as exc:
-        return dict.fromkeys(cluster_sizes, exc)
-    mapped = None
+        return IterationResult(iteration, None, None,
+                               dict.fromkeys(cluster_sizes, exc.with_traceback(None)))
+    result = IterationResult(iteration, draw.deployment_hash, draw.channel_hash, {},
+                             draw.deployment if keep_members or channel_map else None,
+                             draw.nonprec if keep_members else None)
     if channel_map:
-        magnitude_db = np.abs(draw.h)       # 20 log10 |h| in this one buffer
-        np.log10(magnitude_db, out=magnitude_db)
-        magnitude_db *= 20.0
-        mapped = (draw.deployment, magnitude_db)
-    p_tx = cfg.tx_power(len(scenario.beams))
-
-    results = {}
+        result.channel_map = np.abs(draw.h)     # 20 log10 |h| in this one buffer
+        np.log10(result.channel_map, out=result.channel_map)
+        result.channel_map *= 20.0
+    p_tx = scenario.config.tx_power(len(scenario.beams))
     for cluster_size in cluster_sizes:
         try:
             state = build_iteration(scenario, cluster_size, draw)
-            per_policy = {
-                policy: _evaluate_policy(scenario, policy, state, iteration, p_tx,
-                                         collect_trace, collect_map)
+            result.by_size[cluster_size] = {
+                policy: _evaluate_policy(scenario, policy, state, iteration, p_tx, keep_members)
                 for policy in policies
             }
-            results[cluster_size] = IterationResult(
-                iteration, draw.deployment_hash, draw.channel_hash, per_policy, mapped,
-            )
-            mapped = None           # the first size that succeeds carries the map
         except _CELL_ERRORS as exc:
-            results[cluster_size] = exc.with_traceback(None)    # its frames hold `results`
-    return results
+            result.by_size[cluster_size] = exc.with_traceback(None)   # its frames hold `result`
+    return result
 
 
-def _evaluate_policy(scenario, policy, state, iteration, p_tx, collect_trace, collect_map):
+def _evaluate_policy(scenario, policy, state, iteration, p_tx, keep_members):
     cfg = scenario.config
     if policy == "random":
         seq = scheduling.random_schedule(
@@ -219,12 +229,8 @@ def _evaluate_policy(scenario, policy, state, iteration, p_tx, collect_trace, co
     else:
         raise ValidationError(f"unknown scheduler policy {policy!r}")
     n_beams = len(scenario.beams)
-    dep, nonprec_all = state.draw.deployment, state.draw.nonprec
-    beam_idx = dep.beam_idx
-
     n_frames = seq.n_frames
     rows = state.first_cluster + seq.selection
-    keep_sinrs = collect_trace or collect_map
     # frames per block: its gathered member channels hold about _CHUNK_ROWS
     # complex values (1 MiB)
     step = max(1, _CHUNK_ROWS // (n_beams * n_beams * state.clusters.shape[1]))
@@ -237,55 +243,17 @@ def _evaluate_policy(scenario, policy, state, iteration, p_tx, collect_trace, co
             for fi in range(start, min(start + step, n_frames)):
                 _precode_frames(scenario, state, rows[fi:fi + 1], p_tx)
             raise
-        blocks.append(block if keep_sinrs else block[:2])
-    rates, loss_flags, *sinrs = (np.concatenate(part) for part in zip(*blocks))
-
-    data = PolicyIterationData(rates, loss_flags, seq.sector, reduce_iteration(rates, loss_flags))
-    if not keep_sinrs:
-        return data
-    members, prec = sinrs
-    if collect_trace:
-        frame_no = np.arange(1, n_frames + 1)
-        shape = seq.selection.shape     # (n_frames, N_B)
-        data.traces["schedule.csv"] = {
-            "frame": np.broadcast_to(frame_no[:, None], shape),
-            "sector": np.broadcast_to(seq.sector[:, None], shape),
-            "beam": np.broadcast_to(np.arange(n_beams), shape),
-            "cluster": seq.selection,
-            "borrowed": seq.borrowed,
-        }
-        data.traces["sinr_trace.csv"] = {
-            "frame": np.repeat(frame_no, state.cluster_sizes[rows].sum(axis=1)),
-            "beam": beam_idx[members],
-            "user": members,
-            "precoded_db": to_db(prec),
-            "nonprecoded_db": to_db(nonprec_all[members]),
-        }
-    if collect_map:
-        n_users = len(nonprec_all)
-        serve_count = np.bincount(members, minlength=n_users)
-        prec_sum = np.bincount(members, weights=prec, minlength=n_users)
-        served = serve_count > 0
-        mean_prec = np.full(n_users, np.nan)
-        mean_prec[served] = to_db(prec_sum[served] / serve_count[served])
-        data.user_map = {
-            "beam": dep.beam_id,
-            "user": np.arange(n_users),
-            "lat": dep.lat,
-            "lon": dep.lon,
-            "mean_precoded_db": mean_prec,
-            "mean_nonprecoded_db": to_db(nonprec_all),
-            "frames_served": serve_count,
-        }
-    return data
+        blocks.append(block if keep_members else block[:2])
+    rates, loss_flags, *served = (np.concatenate(part) for part in zip(*blocks))
+    return PolicyIterationData(seq, rates, loss_flags, reduce_iteration(rates, loss_flags), *served)
 
 
 def _precode_frames(scenario, state, rows, p_tx):
     """Precode a block of frames, frame f serving the cluster rows `rows[f]`.
 
-    Returns the frames' (f, N_B) rates, their loss flags, and the members
-    they serve, frame after frame and cluster after cluster, with their
-    precoded SINRs.  Every frame gets the arithmetic of its own 2-D
+    Returns the frames' (f, N_B) rates, their loss flags, the members they
+    serve, frame after frame and cluster after cluster, with their precoded
+    SINRs, and each frame's member count.  Every frame gets the arithmetic of its own 2-D
     precoding calls, to the last bit.  The precoder is regularized with
     alpha = 1 / P_TX (see README).
     """
@@ -301,7 +269,7 @@ def _precode_frames(scenario, state, rows, p_tx):
     lost = np.any((prec < nonprec[slots]) & served, axis=1)
     members, prec = slots[served], prec[served]
     rates = cluster_rates(prec, state.cluster_sizes[rows].ravel(), scenario.modcod)
-    return rates.reshape(n_frames, n_beams), lost, members, prec
+    return rates.reshape(n_frames, n_beams), lost, members, prec, np.count_nonzero(served, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -399,23 +367,24 @@ def _cell_dir(out_dir, cluster_size, density):
     return os.path.join(out_dir or "", f"K{cluster_size}_rho{density:g}")
 
 
-def _append_iteration(cell, result):
+def _append_iteration(cell, result, cluster_size, traces):
     """Append one iteration's rows to each policy's tables in `cell`; returns their paths.
 
-    Iteration 0 starts the tables, and only it carries user maps.
+    Every per-policy table is built here, from one cluster size's arrays in
+    `result`: rates, frames and iterations always, the schedule and SINR
+    traces with `traces`, and the user map at iteration 0, which starts the
+    tables.  Traces and user maps need the members kept.
     """
     paths = []
-    for policy, data in result.per_policy.items():
+    for policy, data in result.by_size[cluster_size].items():
         os.makedirs(os.path.join(cell, policy), exist_ok=True)
-        n_frames, n_beams = data.rates.shape
-        frame = np.arange(1, n_frames + 1)
+        seq, shape = data.schedule, data.rates.shape        # (n_frames, N_B)
+        frame = np.arange(1, shape[0] + 1)
+        by_frame = np.broadcast_to(frame[:, None], shape)
+        by_beam = np.broadcast_to(np.arange(shape[1]), shape)
         tables = {
-            "rates.csv": {
-                "frame": np.broadcast_to(frame[:, None], data.rates.shape),
-                "beam": np.broadcast_to(np.arange(n_beams), data.rates.shape),
-                "rate": data.rates,
-            },
-            "frames.csv": {"frame": frame, "sector": data.sectors, "loss": data.loss_flags},
+            "rates.csv": {"frame": by_frame, "beam": by_beam, "rate": data.rates},
+            "frames.csv": {"frame": frame, "sector": seq.sector, "loss": data.loss_flags},
             "iterations.csv": {
                 "eta_bar": [data.metrics.eta],
                 "loss_frame_fraction": [data.metrics.loss_fraction],
@@ -423,15 +392,41 @@ def _append_iteration(cell, result):
                 "deployment_hash": [result.deployment_hash],
                 "channel_hash": [result.channel_hash],
             },
-            **data.traces,
         }
+        members, dep, nonprec = data.members, result.users, result.nonprec
+        if traces:
+            tables["schedule.csv"] = {
+                "frame": by_frame, "sector": np.broadcast_to(seq.sector[:, None], shape),
+                "beam": by_beam, "cluster": seq.selection, "borrowed": seq.borrowed,
+            }
+            tables["sinr_trace.csv"] = {
+                "frame": np.repeat(frame, data.frame_members),
+                "beam": dep.beam_idx[members],
+                "user": members,
+                "precoded_db": to_db(data.precoded),
+                "nonprecoded_db": to_db(nonprec[members]),
+            }
         for name, table in tables.items():
             paths.append(os.path.join(cell, policy, name))
             rows = np.broadcast_to(result.iteration, np.shape(next(iter(table.values()))))
             _write_table(paths[-1], {"iteration": rows, **table}, append=result.iteration > 0)
-        if data.user_map is not None:
+        if result.iteration == 0:
+            n_users = len(nonprec)
+            serve_count = np.bincount(members, minlength=n_users)
+            prec_sum = np.bincount(members, weights=data.precoded, minlength=n_users)
+            served = serve_count > 0
+            mean_prec = np.full(n_users, np.nan)
+            mean_prec[served] = to_db(prec_sum[served] / serve_count[served])
             paths.append(os.path.join(cell, policy, "user_map.csv"))
-            _write_table(paths[-1], data.user_map)
+            _write_table(paths[-1], {
+                "beam": dep.beam_id,
+                "user": np.arange(n_users),
+                "lat": dep.lat,
+                "lon": dep.lon,
+                "mean_precoded_db": mean_prec,
+                "mean_nonprecoded_db": to_db(nonprec),
+                "frames_served": serve_count,
+            })
     return paths
 
 
@@ -549,36 +544,40 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
         for cell_dir in (_cell_dir(out_dir, *cell) for cell in sweep):
             if os.path.isdir(cell_dir):     # an earlier run's, into the same directory
                 shutil.rmtree(cell_dir)
-    units = [(scenario, sizes[rho], rho, policies, it, write and write_traces,
-              write and it == 0, write and channel_map and it == 0)
+    units = [(scenario, sizes[rho], rho, policies, it, write and (write_traces or it == 0),
+              write and channel_map and it == 0)
              for rho in sizes for it in range(iterations)]
     with _worker_pool(threads) if threads > 1 else contextlib.nullcontext() as pool:
         done = pool.map(run_iteration, *zip(*units)) if pool else itertools.starmap(
             run_iteration, units)
         for _, _, density, *_ in units:
-            for cluster_size, result in next(done).items():
+            result = next(done)
+            mapped = result.channel_map         # written with the first size that succeeds
+            for cluster_size, per_policy in result.by_size.items():
                 cell = (cluster_size, density)
                 cell_dir = _cell_dir(out_dir, *cell)
                 if cell in errors:
                     continue
-                if isinstance(result, Exception):
-                    errors[cell] = result
+                if isinstance(per_policy, Exception):
+                    errors[cell] = per_policy
                     del held[cell]
                     if written.pop(cell, None):
                         shutil.rmtree(cell_dir)
                     continue
                 if write:
-                    written.setdefault(cell, _append_iteration(cell_dir, result))
-                if result.channel_map is not None:
-                    artifacts.append(write_channel_map(out_dir, density, *result.channel_map))
-                held[cell].append({p: data.metrics for p, data in result.per_policy.items()})
+                    written.setdefault(cell, _append_iteration(cell_dir, result, cluster_size,
+                                                               write_traces))
+                if mapped is not None:
+                    artifacts.append(write_channel_map(out_dir, density, result.users, mapped))
+                    mapped = None
+                held[cell].append({p: data.metrics for p, data in per_policy.items()})
                 if len(held[cell]) == iterations:       # the cell is complete
                     per_iteration = held.pop(cell)
                     reports[cell] = aggregate(cluster_size, density, {
                         p: [metrics[p] for metrics in per_iteration] for p in policies})
                     if write:
                         artifacts += written.pop(cell)
-            del result          # the iteration's arrays go before the next one arrives
+            del result, mapped, per_policy  # the iteration's arrays go before the next arrives
     reports = {cell: reports[cell] for cell in sweep if cell in reports}
     diagnostics = [f"K={k} rho={r:g}: {errors[k, r]}" for k, r in sweep if (k, r) in errors]
 

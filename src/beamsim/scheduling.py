@@ -43,19 +43,9 @@ def random_schedule(n_clusters, seed=0) -> ScheduleSequence:
     """
     n_k = np.asarray(n_clusters)
     bound = int(n_k.max())
-    rng = np.random.default_rng(seed)
-    beams = np.arange(len(n_k))
-    pools = np.tile(np.arange(bound), (len(n_k), 1))   # beam b's pool: row b's first size[b]
-    size = n_k.copy()
     selection = np.empty((bound, len(n_k)), dtype=int)
-    for n, sel in enumerate(selection, start=1):
-        j = rng.integers(0, size)
-        sel[:] = pools[beams, j]
-        shrink = n < n_k
-        rows = beams[shrink]
-        pools[rows, j[shrink]] = pools[rows, size[shrink] - 1]
-        pools[~shrink] = np.arange(bound)
-        size = np.where(shrink, size - 1, n_k)
+    _sweep(np.random.default_rng(seed), np.tile(np.arange(bound), (len(n_k), 1)), n_k,
+           selection, n_k)
     return ScheduleSequence(selection, np.full(bound, NO_SECTOR),
                             np.zeros(selection.shape, dtype=bool))
 
@@ -79,7 +69,6 @@ def gsa_schedule(sector, n_clusters, grid: SectorGrid, seed=0) -> ScheduleSequen
     by_sector = [[np.flatnonzero(labels == q) for q in range(grid.n_sectors)]
                  for labels in np.split(sector, np.cumsum(n_clusters)[:-1])]
     rng = np.random.default_rng(seed)
-    beams = np.arange(len(n_clusters))
     order = [BEAM_CENTER_SECTOR] + [q for q in range(grid.n_sectors) if q != BEAM_CENTER_SECTOR]
     n_q = [max(len(s[q]) for s in by_sector) for q in order]
     served = np.repeat(order, n_q)
@@ -99,16 +88,26 @@ def gsa_schedule(sector, n_clusters, grid: SectorGrid, seed=0) -> ScheduleSequen
         initial = np.zeros((len(members), full.max()), dtype=int)   # row b's first full[b]
         for row, m in zip(initial, members):
             row[:len(m)] = m
-        pools, size = initial.copy(), full.copy()
-        for sel in sel_q:
-            j = rng.integers(0, size)
-            sel[:] = pools[beams, j]
-            # borrowed pools are sampled with replacement
-            shrink = ~lent & (size > 1)
-            refill = ~lent & (size == 1)
-            rows = beams[shrink]
-            pools[rows, j[shrink]] = pools[rows, size[shrink] - 1]
-            size[shrink] -= 1
-            pools[refill] = initial[refill]
-            size[refill] = full[refill]
+        # borrowed pools are sampled with replacement
+        _sweep(rng, initial, full, sel_q, np.where(lent, 0, np.inf))
     return ScheduleSequence(selection, served, borrowed)
+
+
+def _sweep(rng, initial, full, frames, limit):
+    """Fill `frames` (n_frames, N_B) with uniform draws from per-beam pools.
+
+    Beam b's pool starts as the first full[b] indices of row b of `initial`.
+    After each frame n (counted from 1) it shrinks by the drawn index while
+    more than one index remains and n < limit[b], and is re-initialized
+    otherwise.
+    """
+    beams = np.arange(len(full))
+    pools, size = initial.copy(), full.copy()
+    for n, sel in enumerate(frames, start=1):
+        j = rng.integers(0, size)
+        sel[:] = pools[beams, j]
+        shrink = (size > 1) & (n < limit)
+        rows = beams[shrink]
+        pools[rows, j[shrink]] = pools[rows, size[shrink] - 1]
+        pools[~shrink] = initial[~shrink]
+        size = np.where(shrink, size - 1, full)

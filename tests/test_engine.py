@@ -9,7 +9,7 @@ import pytest
 
 from beamsim import clustering, engine, geometry, precoding, scheduling
 from beamsim.errors import ValidationError
-from beamsim.link_adaptation import cluster_rates, to_db
+from beamsim.link_adaptation import cluster_rates, reduce_iteration, to_db
 
 from conftest import bundled_scenario, pooled_from_arrays
 
@@ -30,31 +30,52 @@ def tree_files(root):
     return out
 
 
-def test_run_iteration_smoke(small_scenario):
-    # one draw feeds every cluster size and both policies of an iteration
-    by_size = engine.run_iteration(small_scenario, (1, 2), 2.5e-4, ("random", "gsa"), 0,
-                                   collect_trace=True, collect_map=True)
-    assert list(by_size) == [1, 2]
-    assert by_size[1].channel_hash == by_size[2].channel_hash
-    for k, result in by_size.items():
-        data = result.per_policy
-        assert data["random"].rates.shape[1] == small_scenario.n_beams
-        assert set(data["gsa"].traces) == {"schedule.csv", "sinr_trace.csv"}
-        for policy in ("random", "gsa"):
-            # schedule.csv keeps the (n_frames, N_B) shape of the selection
-            schedule = data[policy].traces["schedule.csv"]
-            assert {v.shape for v in schedule.values()} == {data[policy].rates.shape}
-            assert (schedule["frame"] == np.arange(1, len(data[policy].rates) + 1)[:, None]).all()
-            assert (schedule["beam"] == np.arange(small_scenario.n_beams)).all()
-        # the user map only counts scheduled frames
-        umap = data["gsa"].user_map
-        assert (umap["frames_served"] > 0).all()   # GSA serves every cluster
-        assert np.isfinite(umap["mean_precoded_db"]).all()
-        assert result.channel_map is None
-    later = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("gsa",), 1)[2]
-    assert later.per_policy["gsa"].user_map is None
-    assert later.per_policy["gsa"].traces == {}
-
+def test_run_iteration_smoke(small_scenario, tmp_path):
+    # one draw feeds every cluster size and both policies of an iteration, and
+    # its hashes, deployment and SINRs travel once
+    result = engine.run_iteration(small_scenario, (1, 2), 2.5e-4, ("random", "gsa"), 0,
+                                  keep_members=True)
+    assert list(result.by_size) == [1, 2]
+    assert len(result.users) == len(result.nonprec)
+    assert result.channel_map is None
+    n_beams = small_scenario.n_beams
+    for k in (1, 2):
+        engine._append_iteration(tmp_path / f"K{k}", result, k, traces=True)
+        for policy, data in result.by_size[k].items():
+            n_frames = len(data.rates)
+            frame = np.arange(1, n_frames + 1)
+            assert data.rates.shape == data.schedule.selection.shape == (n_frames, n_beams)
+            # schedule.csv writes the (n_frames, N_B) selection, a row per element;
+            # columns iteration, frame, sector, beam, cluster, borrowed
+            schedule = np.loadtxt(tmp_path / f"K{k}" / policy / "schedule.csv", delimiter=",",
+                                  skiprows=1, dtype=int)
+            assert schedule.shape == (n_frames * n_beams, 6)
+            assert (schedule[:, 1] == np.repeat(frame, n_beams)).all()
+            assert (schedule[:, 2] == np.repeat(data.schedule.sector, n_beams)).all()
+            assert (schedule[:, 3] == np.tile(np.arange(n_beams), n_frames)).all()
+            assert (schedule[:, 4] == data.schedule.selection.ravel()).all()
+            assert (schedule[:, 5] == data.schedule.borrowed.ravel()).all()
+            # sinr_trace.csv: a row per member, with its frame and its own beam;
+            # columns iteration, frame, beam, user, precoded_db, nonprecoded_db
+            trace = np.loadtxt(tmp_path / f"K{k}" / policy / "sinr_trace.csv", delimiter=",",
+                               skiprows=1)
+            assert (trace[:, 1] == np.repeat(frame, data.frame_members)).all()
+            assert (trace[:, 3] == data.members).all()
+            assert (trace[:, 2] == result.users.beam_idx[data.members]).all()
+            # SINRs in dB, written to 10 significant digits
+            np.testing.assert_allclose(trace[:, 4], to_db(data.precoded), rtol=1e-9)
+            np.testing.assert_allclose(trace[:, 5], to_db(result.nonprec[data.members]),
+                                       rtol=1e-9)
+        # the user map only counts scheduled frames; columns beam, user, lat,
+        # lon, mean_precoded_db, mean_nonprecoded_db, frames_served
+        umap = np.loadtxt(tmp_path / f"K{k}" / "gsa" / "user_map.csv", delimiter=",",
+                          skiprows=1)
+        assert (umap[:, 6] > 0).all()   # GSA serves every cluster
+        assert np.isfinite(umap[:, 4]).all()
+    later = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("gsa",), 1, channel_map=True)
+    data = later.by_size[2]["gsa"]
+    assert (data.members, data.precoded, data.frame_members, later.nonprec) == (None,) * 4
+    assert later.channel_map.shape == (len(later.users), n_beams)
 
 
 def _plain(fields):
@@ -74,10 +95,10 @@ def test_sweep_reports_pool_their_own_iterations(small_scenario):
     reports, _ = engine.run_experiment(small_scenario, sweep=sweep, iterations=2)
     assert list(reports) == sweep
     for k, rho in sweep:
-        results = [engine.run_iteration(small_scenario, (k,), rho, engine.POLICIES, it)[k]
+        results = [engine.run_iteration(small_scenario, (k,), rho, engine.POLICIES, it).by_size[k]
                    for it in range(2)]
-        rates = {p: [r.per_policy[p].rates for r in results] for p in engine.POLICIES}
-        loss = {p: [r.per_policy[p].loss_flags for r in results] for p in engine.POLICIES}
+        rates = {p: [r[p].rates for r in results] for p in engine.POLICIES}
+        loss = {p: [r[p].loss_flags for r in results] for p in engine.POLICIES}
         for policy, agg in reports[k, rho].policies.items():
             frames = [len(r) for r in rates[policy]]
             assert agg.per_iteration_frames.tolist() == frames
@@ -94,8 +115,9 @@ def test_sweep_reports_pool_their_own_iterations(small_scenario):
 def per_frame_reference(scenario, policy, state, iteration, p_tx):
     """A policy's frames precoded one at a time with the 2-D precoding calls.
 
-    Returns the rates, loss flags, schedule and sinr_trace columns and the
-    user map, built as the engine builds them with its alpha = 1 / P_TX.
+    Returns its schedule, rates and loss flags, the members served frame
+    after frame with their precoded SINRs, and each frame's member count,
+    computed as the engine does with its alpha = 1 / P_TX.
     """
     cfg = scenario.config
     if policy == "random":
@@ -120,63 +142,35 @@ def per_frame_reference(scenario, policy, state, iteration, p_tx):
         loss_flags[fi] = bool(np.any(prec < nonprec[members]))
         frame_members.append(members)
         frame_prec.append(prec)
-    members, prec = np.concatenate(frame_members), np.concatenate(frame_prec)
-    frame_no = np.arange(1, n_frames + 1)
-    traces = {
-        "schedule.csv": {
-            "frame": np.repeat(frame_no, n_beams),
-            "sector": np.repeat(seq.sector, n_beams),
-            "beam": np.tile(np.arange(n_beams), n_frames),
-            "cluster": seq.selection.ravel(),
-            "borrowed": seq.borrowed.ravel(),
-        },
-        "sinr_trace.csv": {
-            "frame": np.repeat(frame_no, [len(m) for m in frame_members]),
-            "beam": dep.beam_idx[members],
-            "user": members,
-            "precoded_db": to_db(prec),
-            "nonprecoded_db": to_db(nonprec[members]),
-        },
-    }
-    n_users = len(h)
-    serve_count = np.bincount(members, minlength=n_users)
-    prec_sum = np.bincount(members, weights=prec, minlength=n_users)
-    served = serve_count > 0
-    mean_prec = np.full(n_users, np.nan)
-    mean_prec[served] = to_db(prec_sum[served] / serve_count[served])
-    user_map = {
-        "beam": dep.beam_id,
-        "user": np.arange(n_users),
-        "lat": dep.lat,
-        "lon": dep.lon,
-        "mean_precoded_db": mean_prec,
-        "mean_nonprecoded_db": to_db(nonprec),
-        "frames_served": serve_count,
-    }
-    return rates, loss_flags, traces, user_map
+    return engine.PolicyIterationData(
+        seq, rates, loss_flags, reduce_iteration(rates, loss_flags),
+        np.concatenate(frame_members), np.concatenate(frame_prec),
+        np.array([len(m) for m in frame_members]))
 
 
 def assert_same_frames(data, reference):
-    rates, loss_flags, traces, user_map = reference
-    np.testing.assert_array_equal(data.rates, rates)
-    np.testing.assert_array_equal(data.loss_flags, loss_flags)
-    assert data.traces.keys() == traces.keys()
-    for name, table in traces.items():
-        assert data.traces[name].keys() == table.keys()
-        # a table's columns share one shape; its rows are their elements in C order
-        assert len({np.shape(values) for values in data.traces[name].values()}) == 1, name
-        for column, values in table.items():
-            np.testing.assert_array_equal(np.ravel(data.traces[name][column]), values,
-                                          err_msg=f"{name}: {column}", strict=True)
-    assert data.user_map.keys() == user_map.keys()
-    for column, values in user_map.items():
-        np.testing.assert_array_equal(data.user_map[column], values, err_msg=column)
+    for name in ("selection", "sector", "borrowed"):
+        np.testing.assert_array_equal(getattr(data.schedule, name),
+                                      getattr(reference.schedule, name), err_msg=name, strict=True)
+    for name in ("rates", "loss_flags", "members", "precoded", "frame_members"):
+        np.testing.assert_array_equal(getattr(data, name), getattr(reference, name),
+                                      err_msg=name, strict=True)
+    assert data.metrics == reference.metrics
+
+
+def write_cell(path, draw, cluster_size, policy, data):
+    """The files `_append_iteration` writes for one policy's data as iteration 0, traced."""
+    result = engine.IterationResult(0, draw.deployment_hash, draw.channel_hash,
+                                    {cluster_size: {policy: data}}, draw.deployment, draw.nonprec)
+    engine._append_iteration(path, result, cluster_size, traces=True)
+    return tree_files(path)
 
 
 @pytest.mark.parametrize("layout", ["beams_hex7.json", "beams_hex19.json"])
-def test_frame_blocks_match_per_frame_loop(layout, monkeypatch):
+def test_frame_blocks_match_per_frame_loop(layout, monkeypatch, tmp_path):
     # every frame of a block is precoded to the bit as it is on its own; blocks
-    # of the default size, of one frame, and with a shorter last block
+    # of the default size, of one frame, and with a shorter last block.  Every
+    # table column is checked through the files the two write.
     scenario = bundled_scenario(layout)
     cfg = scenario.config
     n_beams = scenario.n_beams
@@ -187,14 +181,18 @@ def test_frame_blocks_match_per_frame_loop(layout, monkeypatch):
             state = engine.build_iteration(scenario, k, draw)
             for policy in engine.POLICIES:
                 reference = per_frame_reference(scenario, policy, state, iteration, p_tx)
-                n_frames = len(reference[0])
+                expected = write_cell(tmp_path / f"{iteration}-{k}-{policy}", draw, k, policy,
+                                      reference)
+                assert len(expected) == 6
+                n_frames = len(reference.rates)
                 step = next(s for s in (3, 4, 5, 7) if n_frames % s)
                 for chunk in (engine._CHUNK_ROWS, 1, n_beams * n_beams * k * step):
                     monkeypatch.setattr(engine, "_CHUNK_ROWS", chunk)
-                    data = engine._evaluate_policy(scenario, policy, state, iteration, p_tx,
-                                                   True, True)
+                    data = engine._evaluate_policy(scenario, policy, state, iteration, p_tx, True)
                     assert_same_frames(data, reference)
-                monkeypatch.undo()
+                    monkeypatch.undo()
+                    assert write_cell(tmp_path / f"{iteration}-{k}-{policy}-{chunk}", draw, k,
+                                      policy, data) == expected
 
 
 @pytest.mark.parametrize("faults, message", [
@@ -210,18 +208,17 @@ def test_failing_frame_of_a_block_raises_as_on_its_own(small_scenario, monkeypat
     cfg = scenario.config
     p_tx = cfg.tx_power(scenario.n_beams)
     state = engine.build_iteration(scenario, 2, engine.draw_iteration(scenario, 2.5e-4, 0))
-    clean = engine._evaluate_policy(scenario, policy, state, 0, p_tx, True, False)
+    clean = engine._evaluate_policy(scenario, policy, state, 0, p_tx, True)
     n_frames = len(clean.rates)
     assert n_frames <= engine._CHUNK_ROWS // (scenario.n_beams ** 2 * 2)   # one block
-    sched, trace = clean.traces["schedule.csv"], clean.traces["sinr_trace.csv"]
-    rows = state.first_cluster + sched["cluster"].reshape(n_frames, -1)
+    rows = state.first_cluster + clean.schedule.selection
     h = state.draw.h
     # frames are recognised by their content, the same in a block and alone
     power_faults = {clustering.cluster_means(h, state.clusters[rows[f]]).tobytes(): kind
                     for f, kind in faults.items() if kind != "nan"}
     first_frame = {}
-    for frame, user in zip(trace["frame"], trace["user"]):
-        first_frame.setdefault(user, frame - 1)
+    for frame, user in zip(np.repeat(np.arange(n_frames), clean.frame_members), clean.members):
+        first_frame.setdefault(user, frame)
     # users first served in a "nan" frame get a NaN SINR
     nan_users = [u for u, f in first_frame.items() if faults.get(f) == "nan"][:1]
     assert len(nan_users) == ("nan" in faults.values())
@@ -250,16 +247,14 @@ def test_failing_frame_of_a_block_raises_as_on_its_own(small_scenario, monkeypat
     with pytest.raises(ValidationError) as alone:
         per_frame_reference(scenario, policy, state, 0, p_tx)
     with pytest.raises(ValidationError) as blocked:
-        engine._evaluate_policy(scenario, policy, state, 0, p_tx, False, False)
+        engine._evaluate_policy(scenario, policy, state, 0, p_tx, False)
     assert str(blocked.value) == str(alone.value) == message
 
 
 def test_gsa_frames_match_sector_bound(small_scenario):
     state = engine.build_iteration(small_scenario, 2, engine.draw_iteration(small_scenario, 2.5e-4, 0))
-    res = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("gsa",), iteration=0,
-                               collect_trace=True)[2]
-    data = res.per_policy["gsa"]
-    sched = data.traces["schedule.csv"]
+    seq = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("gsa",), iteration=0
+                               ).by_size[2]["gsa"].schedule
     n_beams = small_scenario.n_beams
     n_sectors = small_scenario.config.sector_grid().n_sectors
     # clusters of beam b in sector q, from the sector labels the scheduler read
@@ -268,11 +263,10 @@ def test_gsa_frames_match_sector_bound(small_scenario):
     np.add.at(counts, (beam, state.sector), 1)
     # each populated sector runs exactly max_b |members_b(q)| frames
     for q in range(n_sectors):
-        assert int((data.sectors == q).sum()) == counts[:, q].max()
+        assert int((seq.sector == q).sum()) == counts[:, q].max()
     # a beam borrows exactly when its own sector is empty
-    assert np.array_equal(sched["borrowed"],
-                          counts[sched["beam"], sched["sector"]] == 0)
-    assert sched["beam"].shape == (len(data.sectors), n_beams)
+    assert seq.borrowed.shape == (seq.n_frames, n_beams)
+    assert np.array_equal(seq.borrowed, counts[np.arange(n_beams), seq.sector[:, None]] == 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -495,8 +489,8 @@ def test_workers_start_with_one_blas_thread(monkeypatch):
 def test_policies_share_deployment(small_scenario):
     # separate single-policy runs still consume identical deployments/channels
     for it in range(2):
-        a = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("random",), it)[2]
-        b = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("gsa",), it)[2]
+        a = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("random",), it)
+        b = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("gsa",), it)
         assert a.deployment_hash == b.deployment_hash
         assert a.channel_hash == b.channel_hash
 
@@ -548,10 +542,10 @@ def test_size_failing_mid_run_leaves_no_files(small_scenario, tmp_path, monkeypa
     run_iteration = engine.run_iteration
 
     def failing_at_one(*args, **kwargs):
-        by_size = run_iteration(*args, **kwargs)
-        if args[4] == 1 and 4 in by_size:
-            by_size[4] = ValidationError("injected failure")
-        return by_size
+        result = run_iteration(*args, **kwargs)
+        if args[4] == 1 and 4 in result.by_size:
+            result.by_size[4] = ValidationError("injected failure")
+        return result
 
     monkeypatch.setattr(engine, "run_iteration", failing_at_one)
     trees = []
@@ -570,6 +564,51 @@ def test_size_failing_mid_run_leaves_no_files(small_scenario, tmp_path, monkeypa
         assert trees[0][path] == trees[1][path], f"{path} differs"
 
 
+def failing_at_iteration_0(sizes, density):
+    """`engine.run_iteration` with `sizes` of `density` failing at iteration 0."""
+    run_iteration = engine.run_iteration
+
+    def failing(*args, **kwargs):
+        result = run_iteration(*args, **kwargs)
+        if args[4] == 0 and args[2] == density:
+            result.by_size.update(dict.fromkeys(sizes, ValidationError("injected failure")))
+        return result
+
+    return failing
+
+
+def test_channel_map_written_once_when_the_first_size_fails(small_scenario, tmp_path,
+                                                            monkeypatch):
+    # K = 1 fails at iteration 0; the map is written once, by the next size,
+    # as a run of K = 2 alone writes it
+    alone = tmp_path / "alone"
+    engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4)], out_dir=str(alone), iterations=2,
+                          channel_map=True)
+    monkeypatch.setattr(engine, "run_iteration", failing_at_iteration_0((1,), 2.5e-4))
+    out = tmp_path / "out"
+    reports, manifest = engine.run_experiment(
+        small_scenario, sweep=[(k, 2.5e-4) for k in (1, 2, 4)], out_dir=str(out), iterations=2,
+        channel_map=True)
+    assert list(reports) == [(2, 2.5e-4), (4, 2.5e-4)]
+    name = "channel_map_rho0.00025.csv"
+    assert [path for path in manifest.artifacts if path.startswith("channel_map")] == [name]
+    assert (out / name).read_bytes() == (alone / name).read_bytes()
+
+
+def test_no_channel_map_when_every_size_fails(small_scenario, tmp_path, monkeypatch):
+    # every size of one density fails at iteration 0: that density writes no
+    # map, and the other density's map is written as usual
+    monkeypatch.setattr(engine, "run_iteration", failing_at_iteration_0((1, 2), 2.5e-4))
+    reports, manifest = engine.run_experiment(
+        small_scenario, sweep=[(1, 2.5e-4), (2, 2.5e-4), (2, 4e-4)], out_dir=str(tmp_path),
+        iterations=2, channel_map=True)
+    assert list(reports) == [(2, 4e-4)]
+    assert sorted(path.name for path in tmp_path.glob("channel_map*")) == [
+        "channel_map_rho0.0004.csv"]
+    assert [path for path in manifest.artifacts if path.startswith("channel_map")] == [
+        "channel_map_rho0.0004.csv"]
+
+
 def test_rerun_starts_each_sweep_cell_empty(small_scenario, tmp_path, monkeypatch):
     # an untraced rerun used to leave the earlier run's schedule.csv and
     # sinr_trace.csv beside its own rates.csv, and a cell failing before it
@@ -582,9 +621,9 @@ def test_rerun_starts_each_sweep_cell_empty(small_scenario, tmp_path, monkeypatc
     run_iteration = engine.run_iteration
 
     def failing_k4(*args, **kwargs):
-        by_size = run_iteration(*args, **kwargs)
-        by_size[4] = ValidationError("injected failure")
-        return by_size
+        result = run_iteration(*args, **kwargs)
+        result.by_size[4] = ValidationError("injected failure")
+        return result
 
     monkeypatch.setattr(engine, "run_iteration", failing_k4)
     _, manifest = engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4), (4, 2.5e-4)],
@@ -656,9 +695,9 @@ def test_repeated_policies_run_once(small_scenario, tmp_path):
 
 def test_an_iteration_is_dropped_before_the_next_arrives(small_scenario, tmp_path, monkeypatch):
     # a run holds one iteration's arrays whatever its iteration count: when
-    # iteration i + 1 is drawn, iteration i's rates, loss flags, traces, user
-    # maps and channel map are dead without a garbage collection, also beside
-    # a cluster size that fails
+    # iteration i + 1 is drawn, iteration i's schedules, rates, loss flags,
+    # members and SINRs, deployment and channel map are dead without a garbage
+    # collection, also beside a cluster size that fails
     run_iteration, build_iteration = engine.run_iteration, engine.build_iteration
 
     def failing_k4(scenario, cluster_size, draw):
@@ -671,20 +710,23 @@ def test_an_iteration_is_dropped_before_the_next_arrives(small_scenario, tmp_pat
     def tracked(*args, **kwargs):
         held = [key for key, ref in refs if ref() is not None]
         assert not held, f"held when iteration {args[4]} is drawn: {held}"
-        by_size = run_iteration(*args, **kwargs)
-        for k, result in by_size.items():
-            if isinstance(result, Exception):
+        result = run_iteration(*args, **kwargs)
+        drawn = {"users": result.users, "nonprec": result.nonprec,
+                 "channel map": result.channel_map}
+        refs.extend(((args[4], None, what), weakref.ref(a))
+                    for what, a in drawn.items() if a is not None)
+        for k, per_policy in result.by_size.items():
+            if isinstance(per_policy, Exception):
                 continue
-            if result.channel_map is not None:
-                refs.append(((args[4], k, "channel map"), weakref.ref(result.channel_map[1])))
-            for policy, data in result.per_policy.items():
-                tables = {"rates": data.rates, "loss": data.loss_flags,
-                          **{f"{name}:{col}": a for name, table in data.traces.items()
-                             for col, a in table.items()},
-                          **{f"user map:{col}": a for col, a in (data.user_map or {}).items()}}
+            for policy, data in per_policy.items():
+                arrays = {"rates": data.rates, "loss": data.loss_flags,
+                          "members": data.members, "precoded": data.precoded,
+                          "frame members": data.frame_members,
+                          **{f"schedule {name}": getattr(data.schedule, name)
+                             for name in ("selection", "sector", "borrowed")}}
                 refs.extend(((args[4], k, f"{policy} {what}"), weakref.ref(a))
-                            for what, a in tables.items())
-        return by_size
+                            for what, a in arrays.items())
+        return result
 
     monkeypatch.setattr(engine, "run_iteration", tracked)
     monkeypatch.setattr(engine, "build_iteration", failing_k4)
@@ -692,9 +734,10 @@ def test_an_iteration_is_dropped_before_the_next_arrives(small_scenario, tmp_pat
     reports, _ = engine.run_experiment(small_scenario, sweep=[(k, 2.5e-4) for k in (1, 4, 2)],
                                        out_dir=str(tmp_path), iterations=4, channel_map=True)
     assert list(reports) == [(1, 2.5e-4), (2, 2.5e-4)]
-    assert {key[2] for key, _ in refs} >= {"channel map", "gsa rates",
-                                           "random sinr_trace.csv:precoded_db",
-                                           "gsa user map:frames_served"}
+    assert {key[2] for key, _ in refs} >= {"channel map", "users", "nonprec", "gsa rates",
+                                           "random precoded", "gsa members",
+                                           "gsa schedule borrowed"}
+    assert sum(key[2] == "channel map" for key, _ in refs) == 1
     assert not [key for key, ref in refs if ref() is not None]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -327,3 +328,33 @@ def test_schedules_match_scalar_draws(counts, extra, seed):
                           loop_random_selection(n_k, seed))
     assert np.array_equal(gsa(sects, grid, seed).selection,
                           loop_gsa_selection(sects, grid, seed))
+
+
+# Cluster counts per beam, from one beam to seven, beams of one cluster among them
+DIGEST_COUNTS = [[1], [3, 3], [2, 4], [1, 1, 5], [7, 2, 11, 1, 5], [4, 9, 6, 1, 3, 8, 2]]
+
+
+def schedule_digest(seq):
+    h = hashlib.sha256()
+    for a in (seq.selection, seq.sector, seq.borrowed):
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed, random_digest, gsa_digest", [
+    (0, "a399e4b7d16892da", "679e73a2d0c7d133"),
+    (1, "6658dcf3645835cd", "9a1357ca0da58be0"),
+    (29, "471a1d6aa8dbbdf7", "5aca19d9edf3bd61"),
+])
+def test_schedules_keep_their_recorded_draws(seed, random_digest, gsa_digest):
+    # selection, sector and borrowed flags, digested over the grid of counts
+    # with random sector labels (beams borrowing among them), as the
+    # schedulers drew them before their pool loops became one
+    grid = grid_3x3()
+    random_all, gsa_all = hashlib.sha256(), hashlib.sha256()
+    for i, counts in enumerate(DIGEST_COUNTS):
+        random_all.update(schedule_digest(random_schedule(counts, seed)).encode())
+        labels = np.random.default_rng((seed, i)).integers(0, grid.n_sectors, sum(counts))
+        gsa_all.update(schedule_digest(gsa_schedule(labels, counts, grid, seed)).encode())
+    assert random_all.hexdigest()[:16] == random_digest
+    assert gsa_all.hexdigest()[:16] == gsa_digest
