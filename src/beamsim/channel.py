@@ -138,13 +138,13 @@ class BeamRf:
     g_max: np.ndarray        # (N_B,) linear
 
 
-def beam_rf_parameters(beams, satellite_ecef_km, tx_aperture_efficiency=0.65) -> BeamRf:
+def beam_rf_parameters(beams, satellite_ecef_km, tx_aperture_efficiency) -> BeamRf:
     """Derive boresight directions, half-power angles, and peak gains.
 
-    Unless a beam overrides them, theta_3db is the mean satellite-subtended
-    angle of the boundary edge midpoints (the crossover points of a hexagonal
-    tiling, putting adjacent-beam crossover near -3 dB) and the peak gain
-    follows the aperture rule G_max = eta (70 pi / theta_3dB_deg)^2.
+    theta_3db is the mean satellite-subtended angle of the boundary edge
+    midpoints (the crossover points of a hexagonal tiling, putting
+    adjacent-beam crossover near -3 dB) and the peak gain follows the
+    aperture rule G_max = eta (70 pi / theta_3dB_deg)^2.
     """
     sat = np.asarray(satellite_ecef_km, dtype=float)
     bores = []
@@ -155,21 +155,15 @@ def beam_rf_parameters(beams, satellite_ecef_km, tx_aperture_efficiency=0.65) ->
         bore = center - sat
         bore = bore / np.linalg.norm(bore)
         bores.append(bore)
-        if beam.theta_3db_deg is not None:
-            t3 = math.radians(beam.theta_3db_deg)
-        else:
-            mids = geometry.edge_midpoints_xy(beam.boundary_xy)
-            lat, lon = geometry.unproject_tangent(
-                beam.center_lat, beam.center_lon, mids[:, 0], mids[:, 1]
-            )
-            pts = geometry.geodetic_to_ecef_km(lat, lon) - sat
-            pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-            t3 = float(np.mean(np.arccos(np.clip(pts @ bore, -1.0, 1.0))))
+        mids = geometry.edge_midpoints_xy(beam.boundary_xy)
+        lat, lon = geometry.unproject_tangent(
+            beam.center_lat, beam.center_lon, mids[:, 0], mids[:, 1]
+        )
+        pts = geometry.geodetic_to_ecef_km(lat, lon) - sat
+        pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        t3 = float(np.mean(np.arccos(np.clip(pts @ bore, -1.0, 1.0))))
         theta3.append(t3)
-        if beam.g_max_db is not None:
-            gmax.append(10.0 ** (beam.g_max_db / 10.0))
-        else:
-            gmax.append(tx_aperture_efficiency * (70.0 * math.pi / math.degrees(t3)) ** 2)
+        gmax.append(tx_aperture_efficiency * (70.0 * math.pi / math.degrees(t3)) ** 2)
     return BeamRf(np.asarray(bores), np.asarray(theta3), np.asarray(gmax))
 
 

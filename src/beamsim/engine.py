@@ -301,8 +301,6 @@ def scenario_hash(scenario: Scenario) -> str:
                 "center": [b.center_lat, b.center_lon],
                 "boundary": b.boundary.tolist(),
                 "area_km2": b.area_km2,
-                "g_max_db": b.g_max_db,
-                "theta_3db_deg": b.theta_3db_deg,
             }
             for b in scenario.beams
         ],

@@ -229,6 +229,12 @@ class SectorGrid:
     angles: tuple
 
     def __post_init__(self):
+        # a last radius or angle within 1e-9 of its bound is that bound, so
+        # `assign` labels no point past the last sector
+        for name, bound in (("radii", 1.0), ("angles", TAU)):
+            values = tuple(getattr(self, name))
+            if values and abs(values[-1] - bound) <= 1e-9:
+                object.__setattr__(self, name, values[:-1] + (bound,))
         r = np.asarray(self.radii, dtype=float)
         a = np.asarray(self.angles, dtype=float)
         for name, values in (("sector_radii", r), ("sector_angles", a)):
@@ -236,11 +242,11 @@ class SectorGrid:
                 raise ValidationError(f"{name} must be finite")
         if len(r) < 2 or np.any(np.diff(r) <= 0) or r[0] <= 0:
             raise ValidationError("sector_radii must be strictly ascending and positive")
-        if abs(r[-1] - 1.0) > 1e-12:
+        if r[-1] != 1.0:
             raise ValidationError("sector_radii must end at exactly 1.0")
         if len(a) < 1 or np.any(np.diff(a) <= 0) or a[0] <= 0:
             raise ValidationError("sector_angles must be strictly ascending in (0, 2pi]")
-        if abs(a[-1] - TAU) > 1e-9:
+        if a[-1] != TAU:
             raise ValidationError("sector_angles must end at exactly 2pi")
 
     @property

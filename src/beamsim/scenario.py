@@ -16,8 +16,6 @@ from . import geometry
 from .constants import BOLTZMANN, GEO_ALTITUDE_KM, SPEED_OF_LIGHT
 from .errors import ValidationError
 
-TAU = 2.0 * math.pi
-
 SIMILARITY_METRICS = ("euclidean", "channel")
 REGULARIZATION_MODES = ("normalized",)
 
@@ -167,30 +165,27 @@ def config_from_mapping(data: dict) -> ScenarioConfig:
     if missing:
         raise ValidationError(f"missing config field(s): {sorted(missing)}")
     data = {key: convert_field(key, value) for key, value in data.items()}
-    # snap values meant to be exact bounds
-    radii = data["sector_radii"]
-    if radii and abs(radii[-1] - 1.0) < 1e-9:
-        data["sector_radii"] = radii[:-1] + (1.0,)
-    angles = data["sector_angles"]
-    if angles and abs(angles[-1] - TAU) < 1e-9:
-        data["sector_angles"] = angles[:-1] + (TAU,)
     return validate_config(ScenarioConfig(**data))
+
+
+def _read_input(path, what, parse):
+    """`parse(text)` of the file at `path`; an unreadable or unparsable file
+    is a ValidationError naming `what` it should have held."""
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except (json.JSONDecodeError, yaml.YAMLError) as exc:
+        raise ValidationError(f"{what} {path} does not parse: {exc}") from exc
 
 
 def load_config(source) -> ScenarioConfig:
     """Load the scenario configuration from a YAML/JSON file path or a mapping."""
     if isinstance(source, dict):
         return config_from_mapping(source)
-    path = Path(source)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"config file {path} does not parse: {exc}") from exc
-    return config_from_mapping(data)
+    return config_from_mapping(_read_input(Path(source), "config file", yaml.safe_load))
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +194,15 @@ def load_config(source) -> ScenarioConfig:
 
 @dataclass
 class Beam:
-    """One on-ground beam: center, boundary polygon, and geodesic area."""
+    """One on-ground beam: id, center, boundary polygon, and the boundary's
+    geodesic area; the antenna pattern derives from the boundary too."""
 
     beam_id: int
     center_lat: float
     center_lon: float
     boundary: np.ndarray            # (n, 2) lat/lon degrees, closed implicitly
-    area_km2: float
+    area_km2: float                 # geodesic area of `boundary`
     boundary_xy: np.ndarray         # (n, 2) km, tangent plane about the center
-    g_max_db: float | None = None   # optional per-beam boresight gain override
-    theta_3db_deg: float | None = None  # optional per-beam half-power angle override
 
     def user_count(self, density: float) -> int:
         """Users deployed in the beam at `density` users/km^2: round(density * area)."""
@@ -227,21 +221,10 @@ def _beam_number(beam_id, name, value) -> float:
     return number
 
 
-def make_beam(
-    beam_id, center_lat, center_lon, boundary, area_km2=None,
-    g_max_db=None, theta_3db_deg=None,
-) -> Beam:
+def make_beam(beam_id, center_lat, center_lon, boundary) -> Beam:
+    """A validated beam; its area is the boundary's geodesic area."""
     center_lat = _beam_number(beam_id, "center[0]", center_lat)
     center_lon = _beam_number(beam_id, "center[1]", center_lon)
-    if area_km2 is not None:
-        area_km2 = _beam_number(beam_id, "area_km2", area_km2)
-    if g_max_db is not None:
-        g_max_db = _beam_number(beam_id, "g_max_db", g_max_db)
-    if theta_3db_deg is not None:
-        theta_3db_deg = _beam_number(beam_id, "theta_3db_deg", theta_3db_deg)
-        if not 0.0 < theta_3db_deg < 90.0:
-            raise ValidationError(f"beam {beam_id}: field 'theta_3db_deg' must lie in (0, 90) "
-                                  f"degrees, got {theta_3db_deg!r}")
     try:
         boundary = np.asarray(boundary, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -256,23 +239,13 @@ def make_beam(
         raise ValidationError(f"beam {beam_id}: boundary polygon is self-intersecting")
     if not bool(geometry.point_in_polygon(boundary_xy, 0.0, 0.0)):
         raise ValidationError(f"beam {beam_id}: boundary does not contain the beam center")
-    computed = geometry.polygon_area_km2(boundary[:, 0], boundary[:, 1])
-    if area_km2 is None:
-        area_km2 = computed
-    elif abs(area_km2 - computed) > 0.01 * computed:
-        raise ValidationError(
-            f"beam {beam_id}: declared area {area_km2:.1f} km^2 deviates more than 1% "
-            f"from the recomputed geodesic area {computed:.1f} km^2"
-        )
     return Beam(
         beam_id=int(beam_id),
         center_lat=center_lat,
         center_lon=center_lon,
         boundary=boundary,
-        area_km2=float(area_km2),
+        area_km2=float(geometry.polygon_area_km2(boundary[:, 0], boundary[:, 1])),
         boundary_xy=boundary_xy,
-        g_max_db=g_max_db,
-        theta_3db_deg=theta_3db_deg,
     )
 
 
@@ -296,42 +269,24 @@ def beams_from_records(records) -> list[Beam]:
             raise ValidationError(f"beam id must be non-negative, got {beam_id}")
         if beam_id in seen:
             raise ValidationError(f"duplicate beam id {beam_id} in layout")
+        unknown = set(rec) - {"id", "center", "boundary"}
+        if unknown:
+            raise ValidationError(f"beam {beam_id}: unknown field(s): {sorted(unknown)}")
         if not isinstance(center, (list, tuple)) or len(center) != 2:
             raise ValidationError(f"beam {beam_id}: field 'center' must be [lat, lon], "
                                   f"got {center!r}")
         seen.add(beam_id)
-        beams.append(
-            make_beam(
-                beam_id,
-                center[0],
-                center[1],
-                boundary,
-                area_km2=rec.get("area_km2"),
-                g_max_db=rec.get("g_max_db"),
-                theta_3db_deg=rec.get("theta_3db_deg"),
-            )
-        )
+        beams.append(make_beam(beam_id, center[0], center[1], boundary))
     beams.sort(key=lambda b: b.beam_id)
     return beams
 
 
 def load_beams(source) -> list[Beam]:
-    """Load a beam layout from a JSON/YAML file path or a list of records."""
-    if isinstance(source, list):
-        return beams_from_records(source)
+    """Load a beam layout from a JSON (`.json`) or YAML file path: a list of
+    `id`, `center` [lat, lon] and `boundary` records, no other field."""
     path = Path(source)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read beam layout {path}: {exc}") from exc
-    try:
-        if path.suffix == ".json":
-            data = json.loads(text)
-        else:
-            data = yaml.safe_load(text)
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
-        raise ValidationError(f"beam layout {path} does not parse: {exc}") from exc
-    return beams_from_records(data)
+    parse = json.loads if path.suffix == ".json" else yaml.safe_load
+    return beams_from_records(_read_input(path, "beam layout", parse))
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +386,8 @@ class ModCodTable:
 
 def load_modcod(source) -> ModCodTable:
     """Load the two-column `snr_db,spectral_efficiency` table."""
-    if isinstance(source, ModCodTable):
-        return source
     path = Path(source)
-    try:
-        lines = path.read_text().strip().splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read ModCod table {path}: {exc}") from exc
+    lines = _read_input(path, "ModCod table", lambda text: text.strip().splitlines())
     if not lines or [c.strip() for c in lines[0].split(",")] != ["snr_db", "spectral_efficiency"]:
         raise ValidationError(
             f"ModCod table {path} must start with header 'snr_db,spectral_efficiency'"

@@ -9,11 +9,11 @@ from beamsim.cli import data_path
 from beamsim.scenario import Scenario, make_beam, validate_config
 
 
-def beam_from_xy(xy_vertices, center_lat=45.0, center_lon=8.0, beam_id=1, **kw):
+def beam_from_xy(xy_vertices, center_lat=45.0, center_lon=8.0, beam_id=1):
     """Build a Beam whose tangent-plane boundary is (approximately) xy_vertices km."""
     xy = np.asarray(xy_vertices, dtype=float)
     lat, lon = geometry.unproject_tangent(center_lat, center_lon, xy[:, 0], xy[:, 1])
-    return make_beam(beam_id, center_lat, center_lon, np.column_stack([lat, lon]), **kw)
+    return make_beam(beam_id, center_lat, center_lon, np.column_stack([lat, lon]))
 
 
 def regular_polygon_xy(n_vertices, radius_km, phase=0.0):

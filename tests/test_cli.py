@@ -206,8 +206,25 @@ def test_non_finite_beam_gain_exit_one(command, small_config, tmp_path, capsys):
         args += ["--iterations", "1", "--out", str(tmp_path / "out")]
     assert main([command, *args]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: beam 3: field 'g_max_db' must be finite")
+    assert err.startswith("error: beam 3: unknown field(s): ['g_max_db']")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "cluster"])
+def test_extra_beam_field_fails_at_load(command, small_config, tmp_path, capsys):
+    # a 5000 dB gain override used to validate and then overflow in the run's channel
+    records = json.loads(open(hex7()).read())
+    records[4]["g_max_db"] = 5000.0
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps(records))
+    args = ["--config", small_config, "--beams", str(layout)]
+    if command == "run":
+        args += ["--iterations", "1", "--out", str(tmp_path / "out")]
+    assert main([command, *args]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: beam 5: unknown field(s): ['g_max_db']\n"
+    assert out == ""
     assert not (tmp_path / "out").exists()
 
 
@@ -412,6 +429,13 @@ def test_readme_lists_the_subcommands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (line,) = [line for line in readme.splitlines() if line.startswith("Subcommands:")]
     assert re.findall(r"`([^`]+)`", line) == list(commands)
+
+
+def test_readme_records_the_71_beam_config_hash():
+    # the hash of the paper's experiment, which README's 71-beam section records
+    scenario = bundled_scenario("beams_europe71.json")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"`{engine.scenario_hash(scenario)}`" in readme
 
 
 def test_report_missing_dir(tmp_path, capsys):

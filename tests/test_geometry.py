@@ -162,6 +162,25 @@ def test_sector_count_formula(radii, angles):
     assert grid.n_sectors == grid.n_rings * grid.n_wedges + 1
 
 
+@pytest.mark.parametrize("radii,angles", [
+    ((0.2, 0.6, 1.0 - 5e-13), (math.pi, TAU)),
+    ((0.2, 0.6, 1.0 + 5e-10), (math.pi, TAU)),
+    ((0.2, 0.6, 1.0), (math.pi, TAU - 5e-10)),
+    ((0.2, 0.6, 1.0), (math.pi, TAU + 5e-10)),
+])
+def test_grid_ends_within_tolerance_snap_to_exact_bounds(radii, angles):
+    # a last radius or angle just inside its bound used to label points on the
+    # boundary past the last sector, which the GSA scheduler then never served
+    grid = SectorGrid(radii, angles)
+    assert (grid.radii[-1], grid.angles[-1]) == (1.0, TAU)
+    exact = SectorGrid((0.2, 0.6, 1.0), (math.pi, TAU))
+    phi = np.array([0.0, 0.5, math.pi, TAU - 1e-10, TAU])
+    phi, radius = np.meshgrid(phi, [0.1, 0.6, 0.8, 1.0 - 1e-12, 1.0])
+    labels = grid.assign(phi, radius)
+    assert np.array_equal(labels, exact.assign(phi, radius))
+    assert labels.max() == grid.n_sectors - 1 == 4
+
+
 def test_assign_beam_center():
     grid = table_grid()
     # closed upper bound: exactly r_BC still belongs to the center disc
@@ -261,6 +280,8 @@ def test_neighbor_order_prefers_close_rings_then_wedges():
         ((-0.1, 1.0), (TAU,)),            # non-positive radius
         ((0.2, 1.0), (math.pi,)),         # angles do not end at 2pi
         ((0.2, 1.0), (3.0, 2.0, TAU)),    # angles not ascending
+        ((0.2, 1.0 - 2e-9), (TAU,)),      # last radius beyond the 1e-9 snap
+        ((0.2, 1.0), (math.pi, TAU - 2e-9)),  # last angle beyond the 1e-9 snap
     ],
 )
 def test_bad_grid_rejected(radii, angles):

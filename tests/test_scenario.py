@@ -201,11 +201,11 @@ def test_beam_area_recomputed_and_validated():
     beam = beam_from_xy(xy)
     planar = 1.5 * math.sqrt(3.0) * 250.0**2
     assert beam.area_km2 == pytest.approx(planar, rel=2e-3)
-    # declared area within 1% is accepted, beyond 1% rejected
-    ok = beam_from_xy(xy, area_km2=beam.area_km2 * 1.009)
-    assert ok.area_km2 == pytest.approx(beam.area_km2 * 1.009)
-    with pytest.raises(ValidationError, match="area"):
-        beam_from_xy(xy, area_km2=beam.area_km2 * 1.02)
+    # a layout declares no area, not even its boundary's own: the area is recomputed
+    area = beams_from_records([HEX_RECORD])[0].area_km2
+    assert area == geometry.polygon_area_km2(*np.array(HEX_RECORD["boundary"]).T)
+    with pytest.raises(ValidationError, match=r"^beam 3: unknown field\(s\): \['area_km2'\]$"):
+        beams_from_records([{**HEX_RECORD, "area_km2": area}])
 
 
 def test_center_outside_boundary_rejected():
@@ -237,33 +237,36 @@ HEX_RECORD = {
 }
 
 
+def unknown(field):
+    return rf"unknown field\(s\): \['{field}'\]$"
+
+
 @pytest.mark.parametrize("field,value,message", [
-    ("g_max_db", "45 dB", "'g_max_db' must be a number"),
-    ("g_max_db", None, None),
-    ("g_max_db", math.nan, "'g_max_db' must be finite"),
-    ("g_max_db", math.inf, "'g_max_db' must be finite"),
-    ("g_max_db", [45.0], "'g_max_db' must be a number"),
-    ("theta_3db_deg", 0, r"'theta_3db_deg' must lie in \(0, 90\)"),
-    ("theta_3db_deg", -1, r"'theta_3db_deg' must lie in \(0, 90\)"),
-    ("theta_3db_deg", 90.0, r"'theta_3db_deg' must lie in \(0, 90\)"),
-    ("theta_3db_deg", math.nan, "'theta_3db_deg' must be finite"),
-    ("area_km2", math.nan, "'area_km2' must be finite"),
-    ("area_km2", "100", "declared area"),
-    ("area_km2", "wide", "'area_km2' must be a number"),
+    # a beam's gain, beamwidth and area derive from its boundary: a record that
+    # sets one is rejected whatever the value, a null too
+    ("g_max_db", "45 dB", unknown("g_max_db")),
+    ("g_max_db", None, unknown("g_max_db")),
+    ("g_max_db", math.nan, unknown("g_max_db")),
+    ("g_max_db", math.inf, unknown("g_max_db")),
+    ("g_max_db", [45.0], unknown("g_max_db")),
+    ("theta_3db_deg", 0, unknown("theta_3db_deg")),
+    ("theta_3db_deg", -1, unknown("theta_3db_deg")),
+    ("theta_3db_deg", 90.0, unknown("theta_3db_deg")),
+    ("theta_3db_deg", math.nan, unknown("theta_3db_deg")),
+    ("area_km2", math.nan, unknown("area_km2")),
+    ("area_km2", "100", unknown("area_km2")),
+    ("area_km2", "wide", unknown("area_km2")),
     ("center", [math.nan, 8.0], r"'center\[0\]' must be finite"),
     ("center", [45.0, "east"], r"'center\[1\]' must be a number"),
     ("center", [45.0], "'center' must be"),
     ("center", 45.0, "'center' must be"),
     ("boundary", [[45.5, 7.5], [45.5, math.inf], [44.5, 8.5]], "boundary must be finite"),
     ("boundary", [[45.5, 7.5], [45.5, "x"], [44.5, 8.5]], "boundary must be lat/lon"),
+    ("g_max_dB", 45.0, unknown("g_max_dB")),      # a misspelt key is not ignored
 ])
 def test_bad_beam_field_rejected_by_beam_and_name(field, value, message):
-    record = {**HEX_RECORD, field: value}
-    if message is None:     # a null override is no override
-        assert beams_from_records([record])[0].g_max_db is None
-        return
     with pytest.raises(ValidationError, match=f"^beam 3: .*{message}"):
-        beams_from_records([record])
+        beams_from_records([{**HEX_RECORD, field: value}])
 
 
 @pytest.mark.parametrize("beam_id", ["three", 2.7, True, None])
@@ -287,12 +290,12 @@ def test_beam_id_string_is_converted_before_the_duplicate_check():
 
 
 def test_numeric_beam_fields_converted_to_float():
-    beam = beams_from_records([{**HEX_RECORD, "g_max_db": "45", "theta_3db_deg": "0.4",
-                                "center": ["45", 8]}])[0]
-    assert (beam.g_max_db, beam.theta_3db_deg, beam.center_lat, beam.center_lon) == (
-        45.0, 0.4, 45.0, 8.0)
-    assert all(type(v) is float
-               for v in (beam.g_max_db, beam.theta_3db_deg, beam.center_lat, beam.center_lon))
+    boundary = [["45.5", 7.5], [45.5, "8.5"], [44.5, 8.5], [44.5, 7.5]]
+    beam = beams_from_records([{**HEX_RECORD, "center": ["45", 8], "boundary": boundary}])[0]
+    assert (beam.center_lat, beam.center_lon) == (45.0, 8.0)
+    assert all(type(v) is float for v in (beam.center_lat, beam.center_lon, beam.area_km2))
+    assert beam.boundary.dtype == float
+    assert np.array_equal(beam.boundary, np.array(HEX_RECORD["boundary"]))
 
 
 def test_load_bundled_layouts():
