@@ -25,12 +25,10 @@ from .errors import ValidationError
 GAIN_FLOOR_REL = 1e-10  # -100 dB relative to boresight; keeps |h| > 0
 
 # Channel synthesis and the non-precoded SINRs work on blocks of users whose
-# (users, N_B) float buffer holds about this many values (2 MiB): 3,692 users
-# at 71 beams.  The antenna pattern runs on contiguous row slices of a whole
-# block's 1/`_PATTERN_SLICES`, rounded up (231 users at 71 beams), one call
-# each, so its dozen temporaries stay below one block buffer in all.
-_BLOCK_VALUES = 1 << 18
-_PATTERN_SLICES = 16
+# (users, N_B) float buffer holds about this many values (128 KiB): 230 users
+# at 71 beams, 862 at 19.  The antenna pattern runs on a whole block at once,
+# so its temporaries are about a dozen such buffers.
+_BLOCK_VALUES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -182,28 +180,14 @@ def _user_blocks(n_users, n_beams):
     return (slice(start, start + step) for start in range(0, n_users, step))
 
 
-def _pattern_rows(n_users, n_beams):
-    """Consecutive slices of 1/`_PATTERN_SLICES` of a whole block's users, rounded up."""
-    step = -(-max(1, _BLOCK_VALUES // n_beams) // _PATTERN_SLICES)
-    return (slice(start, start + step) for start in range(0, n_users, step))
-
-
 def _amplitude(users, d, rf: BeamRf, cfg) -> np.ndarray:
-    """|h| of a block of users (unit vectors from the satellite, slant ranges):
-    one (users, N_B) float buffer carries cos -> angle -> gain -> amplitude,
-    and is freed once the caller has used it, before the next block's is made.
-    The gains come from one pattern call per contiguous row slice, with every
-    antenna's theta_3db and g_max broadcast along the row."""
-    amp = users @ rf.boresights.T                               # cos of off-axis angle
-    np.clip(amp, -1.0, 1.0, out=amp)
-    np.arccos(amp, out=amp)                                     # off-axis angle
-    for rows in _pattern_rows(*amp.shape):
-        amp[rows] = bessel_taper_gain(amp[rows], rf.theta_3db, rf.g_max)
-    amp *= cfg.rx_gain_linear * cfg.loss_linear
-    np.sqrt(amp, out=amp)
-    amp *= cfg.wavelength
-    amp /= 4.0 * math.pi * d[:, None] * math.sqrt(cfg.noise_power_w)
-    return amp
+    """|h| of a block of users (unit vectors from the satellite, slant ranges),
+    with one pattern call for the block: every antenna's theta_3db and g_max
+    broadcast along the rows."""
+    theta = np.arccos(np.clip(users @ rf.boresights.T, -1.0, 1.0))   # off-axis angle
+    gains = bessel_taper_gain(theta, rf.theta_3db, rf.g_max)
+    return (np.sqrt(cfg.rx_gain_linear * cfg.loss_linear * gains) * cfg.wavelength
+            / (4.0 * math.pi * d[:, None] * math.sqrt(cfg.noise_power_w)))
 
 
 def channel_matrix(user_lat, user_lon, slant_m, user_beam_idx, rf: BeamRf,
@@ -214,9 +198,9 @@ def channel_matrix(user_lat, user_lon, slant_m, user_beam_idx, rf: BeamRf,
     (each user's serving-beam index) is not read; it stays in the signature
     for the benchmark oracle's positional call.  The users are synthesized
     one `_user_blocks` block at a time, straight into the returned `h`, so
-    beside `h` the synthesis holds one block's float buffer (about
-    `_BLOCK_VALUES` values, 2 MiB) whatever the number of users.  Every
-    element gets the same operations as in a single block.
+    beside `h` the synthesis holds one block's temporaries whatever the
+    number of users.  Every element gets the same operations as in a single
+    block.
     """
     if not (cfg.rx_gain_linear > 0 and cfg.loss_linear > 0 and cfg.noise_power_w > 0):
         raise ValidationError("receive gain, losses, and noise power must be positive")

@@ -68,9 +68,7 @@ def _parse_sweep(args, cfg):
 
 
 def _policies(args):
-    if args.scheduler == "both":
-        return ("random", "gsa")
-    return (args.scheduler,)
+    return engine.POLICIES if args.scheduler == "both" else (args.scheduler,)
 
 
 def cmd_run(args) -> int:
@@ -182,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the Monte Carlo experiment")
     common(p, config_required=True)
-    p.add_argument("--scheduler", choices=["random", "gsa", "both"], default="both")
+    p.add_argument("--scheduler", choices=[*engine.POLICIES, "both"], default="both")
     p.add_argument("--cluster-size", help="cluster size K (comma list for a sweep)")
     p.add_argument("--density", help="user density per km^2 (comma list for a sweep)")
     p.add_argument("--iterations", type=int, help="Monte Carlo iterations")

@@ -524,6 +524,12 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
             raise ValidationError(f"unknown scheduler policy {policy!r}")
     if threads < 1:
         raise ValidationError(f"threads must be at least 1, got {threads}")
+    labels = {}       # a density's %g label, which names its files -> the density
+    for density in dict.fromkeys(rho for _, rho in sweep):
+        first = labels.setdefault(f"{density:g}", density)
+        if first is not density:
+            raise ValidationError(f"densities {first} and {density} share the label "
+                                  f"rho{density:g} of their output files")
 
     errors = {}       # cell -> the error of its lowest failing iteration
     sizes = {}        # density -> the cluster sizes it runs

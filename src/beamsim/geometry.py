@@ -87,8 +87,8 @@ def satellite_ecef_km(longitude_deg):
 def polygon_area_km2(lats, lons):
     """Geodesic area of a closed lat/lon ring on the spherical earth.
 
-    Uses the classic spherical shoelace sum over edges; exact enough for
-    beam-sized polygons (error well below the 1% validation tolerance).
+    Uses the classic spherical shoelace sum over edges, which is exact
+    enough for beam-sized polygons.
     """
     lat = np.radians(np.asarray(lats, dtype=float))
     lon = np.radians(np.asarray(lons, dtype=float))

@@ -54,6 +54,12 @@ def normalize_power(precoder, mode: str, p_tx: float) -> np.ndarray:
     return w * np.sqrt(w.shape[-2] / power)[..., None, None]
 
 
+def _sinr(g, serving_beam):
+    """SINRs from received powers g (..., n) and each user's serving beam (...)."""
+    sig = np.take_along_axis(g, serving_beam[..., None], axis=-1)[..., 0]
+    return sig / (g.sum(axis=-1) - sig + 1.0)
+
+
 def precoded_sinr(user_vectors, serving_beam, precoder, p_tx) -> np.ndarray:
     """Per-user SINR through the precoder (linear, unit noise).
 
@@ -64,32 +70,19 @@ def precoded_sinr(user_vectors, serving_beam, precoder, p_tx) -> np.ndarray:
     """
     h = np.atleast_2d(np.asarray(user_vectors, dtype=complex))
     b = np.atleast_1d(np.asarray(serving_beam, dtype=int))
-    g = np.abs(h @ precoder) ** 2 * p_tx
-    sig = np.take_along_axis(g, b[..., None], axis=-1)[..., 0]
-    interference = g.sum(axis=-1) - sig
-    return sig / (interference + 1.0)
-
-
-def _sinr_without_precoding(h, b, p_tx):
-    """One block's SINRs; its |h|^2 buffer is freed on return."""
-    g = np.abs(h)                     # |h|^2 P_TX in this one buffer
-    np.square(g, out=g)
-    g *= p_tx
-    sig = g[np.arange(len(h)), b]
-    interference = g.sum(axis=1) - sig
-    return sig / (interference + 1.0)
+    return _sinr(np.abs(h @ precoder) ** 2 * p_tx, b)
 
 
 def nonprecoded_sinr(user_vectors, serving_beam, p_tx) -> np.ndarray:
     """Per-user SINR without precoding: every beam interferes at full power.
 
     Computed one `channel._user_blocks` block of users at a time, so beside
-    the result it holds one block's |h|^2 (about 2 MiB), not a float per
-    channel coefficient.
+    the result it holds one block's |h|^2, not a float per channel
+    coefficient.
     """
     h = np.atleast_2d(np.asarray(user_vectors, dtype=complex))
     b = np.atleast_1d(np.asarray(serving_beam, dtype=int))
     sinr = np.empty(len(h))
     for s in _user_blocks(*h.shape):
-        sinr[s] = _sinr_without_precoding(h[s], b[s], p_tx)
+        sinr[s] = _sinr(np.abs(h[s]) ** 2 * p_tx, b[s])
     return sinr

@@ -313,17 +313,19 @@ def iteration0_inputs(scenario):
     return (dep.lat, dep.lon, dep.slant_range_m, dep.beam_idx, rf, sat), phases
 
 
+def block_sizes(n_users, n_beams):
+    """The number of users in each of `_user_blocks`'s blocks."""
+    return [len(range(n_users)[s]) for s in channel._user_blocks(n_users, n_beams)]
+
+
 def split_into_blocks(monkeypatch, n_users, n_beams, block_users):
     """Make `_user_blocks` cut `block_users` users per block, and check that the
     last of at least three blocks is ragged."""
     # not a multiple of N_B: the block size is rounded down to whole users
     monkeypatch.setattr(channel, "_BLOCK_VALUES", block_users * n_beams + n_beams - 1)
-    sizes = [len(range(n_users)[s]) for s in channel._user_blocks(n_users, n_beams)]
+    sizes = block_sizes(n_users, n_beams)
     assert sum(sizes) == n_users
     assert len(sizes) >= 3 and sizes[0] == block_users and 0 < sizes[-1] < block_users
-    # the pattern's row slices of a whole block end in a shorter one as well
-    rows = [len(range(block_users)[s]) for s in channel._pattern_rows(block_users, n_beams)]
-    assert 2 <= len(rows) <= channel._PATTERN_SLICES and 0 < rows[-1] < rows[0]
 
 
 def traced_peak(fn):
@@ -363,38 +365,38 @@ def test_in_place_synthesis_is_bit_identical(layout, block_users, monkeypatch):
                                   nonprecoded_sinr_one_pass(h, args[3], p_tx))
 
 
-@pytest.mark.parametrize("n_beams", [7, 19, 71])
-def test_a_whole_block_makes_one_pattern_call_per_slice(n_beams):
-    rows = list(channel._pattern_rows(channel._BLOCK_VALUES // n_beams, n_beams))
-    assert len(rows) == channel._PATTERN_SLICES
+# Beside h and the per-user arrays, channel synthesis holds one block's
+# temporaries: the off-axis angles, the pattern's dozen and the amplitude,
+# about 9.4 blocks of 128 KiB on hex19.  The bound is 12 blocks (1.5 MiB): a
+# float array of all users held across the blocks (9 blocks more on hex19)
+# breaks it, and so do blocks of 2^18 values (2.2 MiB beside those arrays).
+HELD_BLOCKS = 12
 
 
-def test_channel_synthesis_holds_one_temporary(scenario19, monkeypatch):
-    # beside h and the users' unit vectors (3 floats each): one block's float
-    # buffer, numpy's 128 KiB cast buffer and per-block vectors, about 1.8
-    # blocks here; a second block's buffer held over would make 2.7, and a
-    # float buffer of all users (half of h) 3.1
+def test_channel_synthesis_holds_one_temporary(scenario19):
     args, phases = iteration0_inputs(scenario19)
     n_users = len(args[0])
-    split_into_blocks(monkeypatch, n_users, 19, 2503)
+    sizes = block_sizes(n_users, 19)
+    assert len(sizes) == 9 and 0 < sizes[-1] < sizes[0]
     block_bytes = 8 * channel._BLOCK_VALUES
     h, peak = traced_peak(lambda: channel_matrix(*args, scenario19.config, phases))
     assert h.shape == (n_users, 19)
-    assert peak < h.nbytes + 3 * 8 * n_users + 2.25 * block_bytes
+    assert peak < h.nbytes + 3 * 8 * n_users + HELD_BLOCKS * block_bytes
+    # |h| and |h|^2 of one block, 2 blocks; an |h|^2 of all users is 9
     sinr, peak = traced_peak(lambda: nonprecoded_sinr(h, args[3], 1.0))
-    assert peak < sinr.nbytes + 1.5 * block_bytes
+    assert peak < sinr.nbytes + 3 * block_bytes
 
 
-def test_draw_holds_the_channel_and_one_block(scenario19, monkeypatch):
+def test_draw_holds_the_channel_and_one_block(scenario19):
     # the draw's peak is h, the per-user arrays it returns or synthesis uses
     # and the blocks of channel synthesis, as above; the deployment stage
     # peaks lower
-    split_into_blocks(monkeypatch, 7702, 19, 2503)
+    assert len(block_sizes(7702, 19)) == 9
     draw, peak = traced_peak(
         lambda: draw_iteration(scenario19, scenario19.config.user_density, 0))
     per_user = draw.deployment.nbytes + draw.nonprec.nbytes + 3 * 8 * 7702
     assert draw.h.shape == (7702, 19)
-    assert peak < draw.h.nbytes + per_user + 2.25 * 8 * channel._BLOCK_VALUES
+    assert peak < draw.h.nbytes + per_user + HELD_BLOCKS * 8 * channel._BLOCK_VALUES
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,18 @@ def test_threads_below_one_rejected(threads, small_config, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_densities_sharing_a_label_exit_one(small_config, tmp_path, capsys):
+    # used to exit 0, print K=2 rho=0.0025 twice and write one cell directory
+    out = tmp_path / "dup"
+    assert main(["run", "--config", small_config, "--beams", hex7(), "--cluster-size", "2",
+                 "--density", "0.0025,0.0025000001", "--iterations", "2", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: densities 0.0025 and 0.0025000001 share the label "
+                            "rho0.0025 of their output files\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_no_scipy_at_run_time(small_config, tmp_path):
     # scipy is a test dependency only; the tests import it, so check in a fresh process
     script = f"""

@@ -678,6 +678,23 @@ def test_unknown_policy_rejected_before_any_draw(small_scenario, tmp_path, monke
     assert not out.exists()
 
 
+def test_densities_sharing_a_label_rejected_before_any_draw(small_scenario, tmp_path,
+                                                           monkeypatch):
+    # both used to write into K2_rho0.00025/, the second iteration 0 over the first's
+    def no_draw(*args):
+        raise AssertionError("a unit started")
+
+    monkeypatch.setattr(engine, "draw_iteration", no_draw)
+    cell = tmp_path / "dup" / "K2_rho0.00025"
+    cell.mkdir(parents=True)
+    (cell / "iterations.csv").write_text("an earlier run's\n")
+    with pytest.raises(ValidationError, match=r"^densities 0\.00025 and 0\.00025000001 share "
+                                              r"the label rho0\.00025 of their output files$"):
+        engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4), (4, 2.5e-4), (2, 2.5000001e-4)],
+                              out_dir=str(tmp_path / "dup"), iterations=1)
+    assert tree_files(tmp_path / "dup") == {"K2_rho0.00025/iterations.csv": b"an earlier run's\n"}
+
+
 def test_repeated_policies_run_once(small_scenario, tmp_path):
     # as a repeated sweep cell does: once, where it first appears
     trees = []

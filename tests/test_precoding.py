@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beamsim import channel
 from beamsim.clustering import cluster_means
 from beamsim.engine import build_iteration, draw_iteration
 from beamsim.errors import ValidationError
@@ -195,6 +196,18 @@ def test_matches_brute_force_oracle():
         oracle_prec, oracle_nonprec = brute_force_sinr(h_users, serving, w, 1.5)
         assert np.allclose(prec, oracle_prec, rtol=1e-12)
         assert np.allclose(nonprec, oracle_nonprec, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_beams, n_users", [(7, 5000), (19, 2000), (71, 500)])
+def test_identity_precoder_is_no_precoding(n_beams, n_users):
+    # the two SINR paths share one formula: W = I gives the non-precoded SINRs
+    # to the bit, over users that span several of nonprecoded_sinr's blocks
+    assert n_users > 2 * (channel._BLOCK_VALUES // n_beams)
+    rng = np.random.default_rng(n_beams)
+    h = random_complex(rng, (n_users, n_beams))
+    serving = rng.integers(0, n_beams, size=n_users)
+    np.testing.assert_array_equal(precoded_sinr(h, serving, np.eye(n_beams), 3.0),
+                                  nonprecoded_sinr(h, serving, 3.0))
 
 
 def test_orthogonal_rows_precoding_helps():
