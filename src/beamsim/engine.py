@@ -12,9 +12,9 @@ of `_CHUNK_ROWS // (N_B * N_B * K)`: a block gathers its clusters' members
 solves and scores all of its frames in one call per stage, each frame to
 the bit as on its own.  Every RNG stream derives from (master_seed,
 iteration, purpose), so the run is reproducible at any worker count.  A
-unit returns arrays, its draw's once; the parent builds every cell table
-from them (`_append_iteration`) and keeps only the `IterationMetrics`, as
-each iteration arrives, so memory does not grow with the iteration count.
+unit returns its draw, less the channel, and each policy's arrays; the
+parent builds every cell table from them (`_append_iteration`) and keeps
+only the `IterationMetrics`, so memory does not grow with the iterations.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import multiprocessing
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from . import channel as chn
 from . import clustering, geometry, precoding, scheduling
 from .errors import GeometryError, ValidationError
 from .link_adaptation import IterationMetrics, aggregate, cluster_rates, reduce_iteration, to_db
-from .scenario import Scenario, check_density_supports_clusters, deploy_users
+from .scenario import Scenario, _integer, check_density_supports_clusters, deploy_users
 
 # purpose tags for the per-iteration seed streams
 _SEED_DEPLOY, _SEED_PHASES, _SEED_RANDOM, _SEED_GSA = 0, 1, 2, 3
@@ -58,7 +58,7 @@ class IterationDraw:
     """One (density, iteration)'s users and channel, shared by every K and policy."""
 
     deployment: np.recarray   # deploy_users' records, a row per user, beam after beam
-    h: np.ndarray             # (n_users, N_B) channel matrix with the iteration's phases
+    h: np.ndarray | None      # (n_users, N_B) channel with the iteration's phases; None in a result
     deployment_hash: str
     channel_hash: str
     nonprec: np.ndarray       # (n_users,) SINR without precoding
@@ -78,35 +78,28 @@ class IterationState:
 
 @dataclass
 class PolicyIterationData:
-    """One policy's frames in one iteration, as arrays; `_append_iteration` writes its tables.
-
-    The members, kept only when asked for, are the served users frame after
-    frame and cluster after cluster; the traces and user maps need them.
-    """
+    """One policy's frames in one iteration, as arrays; `_append_iteration` writes its tables."""
 
     schedule: scheduling.ScheduleSequence
     rates: np.ndarray                     # (n_frames, N_B) bit/s/Hz
     loss_flags: np.ndarray                # (n_frames,) bool
     metrics: IterationMetrics             # what aggregation and iterations.csv read
-    members: np.ndarray | None = None     # served user ids
-    precoded: np.ndarray | None = None    # their precoded SINRs
-    frame_members: np.ndarray | None = None  # (n_frames,) members each frame serves
+    members: np.ndarray                   # served user ids, frame by frame, cluster by cluster
+    precoded: np.ndarray                  # their precoded SINRs
+    frame_members: np.ndarray             # (n_frames,) members each frame serves
 
 
 @dataclass
 class IterationResult:
-    """One (density, iteration): its draw's hashes and arrays once, and every size's policies.
+    """One (density, iteration): its draw, without the channel, and every size's policies.
 
     `by_size` maps each K to {policy: PolicyIterationData}, or to the
     validation, geometry or linear-algebra error that size raised.
     """
 
     iteration: int
-    deployment_hash: str | None           # None when the draw itself failed
-    channel_hash: str | None
-    by_size: dict
-    users: np.recarray | None = None      # the deployment, to write members or the map with
-    nonprec: np.ndarray | None = None     # (n_users,) SINR without precoding, with the members
+    by_size: dict                         # before `draw`: pickled in field order, this peaks lower
+    draw: IterationDraw | None = None     # None when the draw itself failed
     channel_map: np.ndarray | None = None # (n_users, N_B) |h| in dB, when asked for
 
 
@@ -116,16 +109,15 @@ _CELL_ERRORS = (ValidationError, GeometryError, np.linalg.LinAlgError)
 def draw_iteration(scenario: Scenario, density: float, iteration: int) -> IterationDraw:
     """Deploy one iteration's users and synthesize their channels."""
     cfg = scenario.config
-    satellite = scenario.satellite()
     dep = deploy_users(scenario.beams, density,
-                       iteration_seed(cfg.master_seed, iteration, _SEED_DEPLOY), satellite)
+                       iteration_seed(cfg.master_seed, iteration, _SEED_DEPLOY),
+                       scenario.satellite_ecef_km)
     phases = chn.draw_phases(
-        len(scenario.beams),
+        scenario.n_beams,
         np.random.default_rng(iteration_seed(cfg.master_seed, iteration, _SEED_PHASES)),
     )
-    rf = chn.beam_rf_parameters(scenario.beams, satellite, cfg.tx_aperture_efficiency)
-    h = chn.channel_matrix(dep.lat, dep.lon, dep.slant_range_m, dep.beam_idx, rf, satellite,
-                           cfg, phases)
+    h = chn.channel_matrix(dep.lat, dep.lon, dep.slant_range_m, dep.beam_idx, scenario.rf,
+                           scenario.satellite_ecef_km, cfg, phases)
     return IterationDraw(
         deployment=dep,
         h=h,
@@ -134,32 +126,29 @@ def draw_iteration(scenario: Scenario, density: float, iteration: int) -> Iterat
             np.column_stack([dep.lat, dep.lon, dep.slant_range_m]).data
         ).hexdigest(),
         channel_hash=hashlib.sha256(np.ascontiguousarray(h).data).hexdigest(),
-        nonprec=precoding.nonprecoded_sinr(h, dep.beam_idx, cfg.tx_power(len(scenario.beams))),
+        nonprec=precoding.nonprecoded_sinr(h, dep.beam_idx, scenario.p_tx),
     )
 
 
 def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) -> IterationState:
     """Cluster and sectorise one draw's users at one cluster size."""
-    cfg = scenario.config
     dep, h = draw.deployment, draw.h
 
     # per-beam clustering in the configured similarity space; MaxDist fills
     # every cluster of a beam but its last, the only row of the table padded.
     # Users come beam after beam, so each beam's users are one slice of rows.
-    n_beams = len(scenario.beams)
-    n_users = np.bincount(dep.beam_idx, minlength=n_beams)
+    n_users = np.bincount(dep.beam_idx, minlength=scenario.n_beams)
     first_user = np.cumsum(n_users) - n_users
     n_clusters = -(-n_users // cluster_size)
     first_cluster = np.cumsum(n_clusters) - n_clusters
     clusters = np.full((n_clusters.sum(), cluster_size), -1)
     sector = np.empty(len(clusters), dtype=int)
-    grid = cfg.sector_grid()
     for bi, beam in enumerate(scenario.beams):
         sel = slice(first_user[bi], first_user[bi] + n_users[bi])
         x, y = geometry.project_tangent(beam.center_lat, beam.center_lon,
                                         dep.lat[sel], dep.lon[sel])
         xy = np.column_stack([x, y])
-        if cfg.clustering_similarity == "euclidean":
+        if scenario.config.clustering_similarity == "euclidean":
             feats = xy
         else:
             feats = clustering.channel_features(h[sel])
@@ -168,7 +157,7 @@ def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) 
         clusters[rows] = np.where(local >= 0, first_user[bi] + local, -1)
         bary = clustering.cluster_means(xy, local)
         phi, radius = geometry.normalized_polar_from_xy(beam.boundary_xy, *bary.T)
-        sector[rows] = grid.assign(phi, radius)
+        sector[rows] = scenario.grid.assign(phi, radius)
 
     return IterationState(
         draw=draw,
@@ -181,33 +170,28 @@ def build_iteration(scenario: Scenario, cluster_size: int, draw: IterationDraw) 
 
 
 def run_iteration(scenario: Scenario, cluster_sizes, density: float, policies, iteration: int,
-                  keep_members=False, channel_map=False) -> IterationResult:
+                  channel_map=False) -> IterationResult:
     """Draw one (density, iteration) and evaluate each cluster size on it.
 
     A size failing with a validation, geometry or linear-algebra error maps
-    to that error in `by_size`; any other error propagates.  `keep_members`
-    keeps each policy's members and the draw's deployment and non-precoded
-    SINRs, which the traces and user maps are written from; `channel_map`
-    adds the draw's |h| in dB and its deployment.
+    to that error in `by_size`; any other error propagates.  The result
+    carries the draw without its channel matrix; `channel_map` adds the
+    draw's |h| in dB.
     """
     try:
         draw = draw_iteration(scenario, density, iteration)
     except _CELL_ERRORS as exc:
-        return IterationResult(iteration, None, None,
-                               dict.fromkeys(cluster_sizes, exc.with_traceback(None)))
-    result = IterationResult(iteration, draw.deployment_hash, draw.channel_hash, {},
-                             draw.deployment if keep_members or channel_map else None,
-                             draw.nonprec if keep_members else None)
+        return IterationResult(iteration, dict.fromkeys(cluster_sizes, exc.with_traceback(None)))
+    result = IterationResult(iteration, {}, replace(draw, h=None))
     if channel_map:
         result.channel_map = np.abs(draw.h)     # 20 log10 |h| in this one buffer
         np.log10(result.channel_map, out=result.channel_map)
         result.channel_map *= 20.0
-    p_tx = scenario.config.tx_power(len(scenario.beams))
     for cluster_size in cluster_sizes:
         try:
             state = build_iteration(scenario, cluster_size, draw)
             result.by_size[cluster_size] = {
-                policy: _evaluate_policy(scenario, policy, state, iteration, p_tx, keep_members)
+                policy: _evaluate_policy(scenario, policy, state, iteration)
                 for policy in policies
             }
         except _CELL_ERRORS as exc:
@@ -215,40 +199,32 @@ def run_iteration(scenario: Scenario, cluster_sizes, density: float, policies, i
     return result
 
 
-def _evaluate_policy(scenario, policy, state, iteration, p_tx, keep_members):
-    cfg = scenario.config
-    if policy == "random":
-        seq = scheduling.random_schedule(
-            state.n_clusters, iteration_seed(cfg.master_seed, iteration, _SEED_RANDOM),
-        )
-    elif policy == "gsa":
-        seq = scheduling.gsa_schedule(
-            state.sector, state.n_clusters, cfg.sector_grid(),
-            iteration_seed(cfg.master_seed, iteration, _SEED_GSA),
-        )
-    else:
+def _evaluate_policy(scenario, policy, state, iteration):
+    if policy not in POLICIES:
         raise ValidationError(f"unknown scheduler policy {policy!r}")
-    n_beams = len(scenario.beams)
+    seed = iteration_seed(scenario.config.master_seed, iteration,
+                          _SEED_RANDOM if policy == "random" else _SEED_GSA)
+    seq = (scheduling.random_schedule(state.n_clusters, seed) if policy == "random" else
+           scheduling.gsa_schedule(state.sector, state.n_clusters, scenario.grid, seed))
     n_frames = seq.n_frames
     rows = state.first_cluster + seq.selection
     # frames per block: its gathered member channels hold about _CHUNK_ROWS
     # complex values (1 MiB)
-    step = max(1, _CHUNK_ROWS // (n_beams * n_beams * state.clusters.shape[1]))
+    step = max(1, _CHUNK_ROWS // (scenario.n_beams ** 2 * state.clusters.shape[1]))
     blocks = []
     for start in range(0, n_frames, step):
         try:
-            block = _precode_frames(scenario, state, rows[start:start + step], p_tx)
+            blocks.append(_precode_frames(scenario, state, rows[start:start + step]))
         except _CELL_ERRORS:
             # raise what the lowest failing frame of the block raises on its own
             for fi in range(start, min(start + step, n_frames)):
-                _precode_frames(scenario, state, rows[fi:fi + 1], p_tx)
+                _precode_frames(scenario, state, rows[fi:fi + 1])
             raise
-        blocks.append(block if keep_members else block[:2])
     rates, loss_flags, *served = (np.concatenate(part) for part in zip(*blocks))
     return PolicyIterationData(seq, rates, loss_flags, reduce_iteration(rates, loss_flags), *served)
 
 
-def _precode_frames(scenario, state, rows, p_tx):
+def _precode_frames(scenario, state, rows):
     """Precode a block of frames, frame f serving the cluster rows `rows[f]`.
 
     Returns the frames' (f, N_B) rates, their loss flags, the members they
@@ -257,7 +233,7 @@ def _precode_frames(scenario, state, rows, p_tx):
     precoding calls, to the last bit.  The precoder is regularized with
     alpha = 1 / P_TX (see README).
     """
-    h, nonprec = state.draw.h, state.draw.nonprec
+    h, nonprec, p_tx = state.draw.h, state.draw.nonprec, scenario.p_tx
     n_frames, n_beams = rows.shape
     table = state.clusters[rows.ravel()]         # (f * N_B, K), -1 past a cluster's size
     eqvec = clustering.cluster_means(h, table)
@@ -371,9 +347,9 @@ def _append_iteration(cell, result, cluster_size, traces):
     Every per-policy table is built here, from one cluster size's arrays in
     `result`: rates, frames and iterations always, the schedule and SINR
     traces with `traces`, and the user map at iteration 0, which starts the
-    tables.  Traces and user maps need the members kept.
+    tables.
     """
-    paths = []
+    draw, paths = result.draw, []
     for policy, data in result.by_size[cluster_size].items():
         os.makedirs(os.path.join(cell, policy), exist_ok=True)
         seq, shape = data.schedule, data.rates.shape        # (n_frames, N_B)
@@ -387,11 +363,11 @@ def _append_iteration(cell, result, cluster_size, traces):
                 "eta_bar": [data.metrics.eta],
                 "loss_frame_fraction": [data.metrics.loss_fraction],
                 "n_frames": [data.metrics.n_frames],
-                "deployment_hash": [result.deployment_hash],
-                "channel_hash": [result.channel_hash],
+                "deployment_hash": [draw.deployment_hash],
+                "channel_hash": [draw.channel_hash],
             },
         }
-        members, dep, nonprec = data.members, result.users, result.nonprec
+        members, dep, nonprec = data.members, draw.deployment, draw.nonprec
         if traces:
             tables["schedule.csv"] = {
                 "frame": by_frame, "sector": np.broadcast_to(seq.sector[:, None], shape),
@@ -516,7 +492,12 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
         sweep = [(cfg.cluster_size, cfg.user_density)]
     sweep = list(dict.fromkeys(sweep))  # each cell once, where it first appears
     policies = tuple(dict.fromkeys(policies))
-    iterations = cfg.monte_carlo_iterations if iterations is None else int(iterations)
+    iterations = cfg.monte_carlo_iterations if iterations is None else iterations
+    try:        # a float or a bool is refused, not truncated
+        iterations, threads = _integer(iterations), _integer(threads)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"iterations and threads must be integers, got {iterations!r} "
+                              f"and {threads!r}") from exc
     if not sweep or iterations < 1:
         raise ValidationError("a run needs at least one sweep cell and one iteration")
     for policy in policies:
@@ -548,8 +529,7 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
         for cell_dir in (_cell_dir(out_dir, *cell) for cell in sweep):
             if os.path.isdir(cell_dir):     # an earlier run's, into the same directory
                 shutil.rmtree(cell_dir)
-    units = [(scenario, sizes[rho], rho, policies, it, write and (write_traces or it == 0),
-              write and channel_map and it == 0)
+    units = [(scenario, sizes[rho], rho, policies, it, write and channel_map and it == 0)
              for rho in sizes for it in range(iterations)]
     with _worker_pool(threads) if threads > 1 else contextlib.nullcontext() as pool:
         done = pool.map(run_iteration, *zip(*units)) if pool else itertools.starmap(
@@ -572,7 +552,8 @@ def run_experiment(scenario: Scenario, sweep=None, policies=POLICIES, out_dir=No
                     written.setdefault(cell, _append_iteration(cell_dir, result, cluster_size,
                                                                write_traces))
                 if mapped is not None:
-                    artifacts.append(write_channel_map(out_dir, density, result.users, mapped))
+                    artifacts.append(write_channel_map(out_dir, density, result.draw.deployment,
+                                                       mapped))
                     mapped = None
                 held[cell].append({p: data.metrics for p, data in per_policy.items()})
                 if len(held[cell]) == iterations:       # the cell is complete

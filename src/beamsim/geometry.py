@@ -240,7 +240,10 @@ class SectorGrid:
         for name, values in (("sector_radii", r), ("sector_angles", a)):
             if not np.isfinite(values).all():
                 raise ValidationError(f"{name} must be finite")
-        if len(r) < 2 or np.any(np.diff(r) <= 0) or r[0] <= 0:
+        if len(r) < 2:
+            raise ValidationError("sector_radii must hold the beam-center radius and at least "
+                                  "one ring, ending at 1.0")
+        if np.any(np.diff(r) <= 0) or r[0] <= 0:
             raise ValidationError("sector_radii must be strictly ascending and positive")
         if r[-1] != 1.0:
             raise ValidationError("sector_radii must end at exactly 1.0")

@@ -45,19 +45,23 @@ def cluster_rates(member_sinrs_linear, sizes, modcod: ModCodTable) -> np.ndarray
 class IterationMetrics(NamedTuple):
     """One policy's iteration reduced to what aggregation and `iterations.csv` read."""
 
-    eta: float              # mean rate over the (frame, beam) slots
     n_frames: int
     rate_sum: float         # sum of the rates over the n_slots (frame, beam) slots
     n_slots: int
-    loss_fraction: float    # share of lost frames, 0.0 for no frames
-    n_lost: int
+    n_lost: int             # frames in which precoding lowered a member's SINR
+
+    @property
+    def eta(self) -> float:             # mean rate over the slots
+        return self.rate_sum / self.n_slots
+
+    @property
+    def loss_fraction(self) -> float:   # share of lost frames, 0.0 for no frames
+        return self.n_lost / self.n_frames if self.n_frames else 0.0
 
 
 def reduce_iteration(rates, loss_flags) -> IterationMetrics:
     """An iteration's (n_frames, N_B) rates and per-frame loss flags, reduced."""
-    return IterationMetrics(float(np.mean(rates)), len(rates), float(np.sum(rates)), rates.size,
-                            float(np.mean(loss_flags)) if len(loss_flags) else 0.0,
-                            int(np.sum(loss_flags)))
+    return IterationMetrics(len(rates), float(np.sum(rates)), rates.size, int(np.sum(loss_flags)))
 
 
 @dataclass
@@ -94,14 +98,14 @@ def aggregate_policy(per_iteration) -> PolicyAggregate:
     (frame, beam) slot alike."""
     if not per_iteration:
         raise ValidationError("aggregation needs at least one iteration")
-    eta, frames, rate_sum, slots, loss, lost = zip(*per_iteration)
+    frames, rate_sum, slots, lost = zip(*per_iteration)
     return PolicyAggregate(
         eta_bar=sum(rate_sum) / sum(slots),
         loss_frame_fraction=sum(lost) / sum(frames),
         n_frames=sum(frames),
         n_iterations=len(per_iteration),
-        per_iteration_eta=np.array(eta),
-        per_iteration_loss_fraction=np.array(loss),
+        per_iteration_eta=np.array([m.eta for m in per_iteration]),
+        per_iteration_loss_fraction=np.array([m.loss_fraction for m in per_iteration]),
         per_iteration_frames=np.array(frames),
     )
 

@@ -6,13 +6,14 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import geometry
+from .channel import BeamRf, beam_rf_parameters
 from .constants import BOLTZMANN, GEO_ALTITUDE_KM, SPEED_OF_LIGHT
 from .errors import ValidationError
 
@@ -70,10 +71,6 @@ class ScenarioConfig:
 
     def sector_grid(self) -> geometry.SectorGrid:
         return geometry.SectorGrid(tuple(self.sector_radii), tuple(self.sector_angles))
-
-    def tx_power(self, n_beams: int) -> float:
-        """Per-beam transmit power P_TX = P_tot / N_B."""
-        return self.satellite_total_power / n_beams
 
 
 def _require_positive(cfg: ScenarioConfig, names):
@@ -411,18 +408,30 @@ def load_modcod(source) -> ModCodTable:
 # Scenario bundle
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A run's inputs and the constants every draw derives from them, computed
+    once at construction, which `dataclasses.replace` repeats."""
+
     config: ScenarioConfig
     beams: list[Beam]
     modcod: ModCodTable
+    p_tx: float = field(init=False)                 # per-beam transmit power P_tot / N_B, W
+    grid: geometry.SectorGrid = field(init=False)   # the config's sectors
+    satellite_ecef_km: np.ndarray = field(init=False)
+    rf: BeamRf = field(init=False)                  # every beam's antenna parameters
+
+    def __post_init__(self):
+        cfg = self.config
+        sat = geometry.satellite_ecef_km(cfg.satellite_longitude)
+        rf = beam_rf_parameters(self.beams, sat, cfg.tx_aperture_efficiency)
+        for name, value in (("p_tx", cfg.satellite_total_power / len(self.beams)),
+                            ("grid", cfg.sector_grid()), ("satellite_ecef_km", sat), ("rf", rf)):
+            object.__setattr__(self, name, value)     # frozen: set here only
 
     @property
     def n_beams(self) -> int:
         return len(self.beams)
-
-    def satellite(self) -> np.ndarray:
-        return geometry.satellite_ecef_km(self.config.satellite_longitude)
 
 
 def check_density_supports_clusters(scenario: Scenario, cluster_size=None, density=None):

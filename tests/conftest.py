@@ -6,7 +6,7 @@ import pytest
 
 from beamsim import geometry, load_scenario
 from beamsim.cli import data_path
-from beamsim.scenario import Scenario, make_beam, validate_config
+from beamsim.scenario import make_beam, validate_config
 
 
 def beam_from_xy(xy_vertices, center_lat=45.0, center_lon=8.0, beam_id=1):
@@ -68,7 +68,7 @@ def bundled_scenario(layout="beams_hex7.json", **config_overrides):
     )
     if config_overrides:
         cfg = validate_config(replace(scenario.config, **config_overrides))
-        scenario = Scenario(cfg, scenario.beams, scenario.modcod)
+        scenario = replace(scenario, config=cfg)
     return scenario
 
 

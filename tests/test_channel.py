@@ -304,7 +304,7 @@ def nonprecoded_sinr_one_pass(h, serving_beam, p_tx):
 def iteration0_inputs(scenario):
     """channel_matrix's arguments for iteration 0 of a scenario, as the engine draws them."""
     cfg = scenario.config
-    sat = scenario.satellite()
+    sat = scenario.satellite_ecef_km
     dep = deploy_users(scenario.beams, cfg.user_density,
                        engine.iteration_seed(cfg.master_seed, 0, engine._SEED_DEPLOY), sat)
     phases = draw_phases(scenario.n_beams, np.random.default_rng(
@@ -360,7 +360,7 @@ def test_in_place_synthesis_is_bit_identical(layout, block_users, monkeypatch):
     h = channel_matrix(*args, cfg, phases)
     assert h.flags.c_contiguous
     np.testing.assert_array_equal(h, channel_matrix_out_of_place(*args, cfg, phases))
-    p_tx = cfg.tx_power(scenario.n_beams)
+    p_tx = scenario.p_tx
     np.testing.assert_array_equal(nonprecoded_sinr(h, args[3], p_tx),
                                   nonprecoded_sinr_one_pass(h, args[3], p_tx))
 

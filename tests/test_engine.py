@@ -32,11 +32,12 @@ def tree_files(root):
 
 def test_run_iteration_smoke(small_scenario, tmp_path):
     # one draw feeds every cluster size and both policies of an iteration, and
-    # its hashes, deployment and SINRs travel once
-    result = engine.run_iteration(small_scenario, (1, 2), 2.5e-4, ("random", "gsa"), 0,
-                                  keep_members=True)
+    # travels once, without its channel matrix
+    result = engine.run_iteration(small_scenario, (1, 2), 2.5e-4, ("random", "gsa"), 0)
     assert list(result.by_size) == [1, 2]
-    assert len(result.users) == len(result.nonprec)
+    draw = result.draw
+    assert draw.h is None
+    assert len(draw.deployment) == len(draw.nonprec)
     assert result.channel_map is None
     n_beams = small_scenario.n_beams
     for k in (1, 2):
@@ -61,10 +62,10 @@ def test_run_iteration_smoke(small_scenario, tmp_path):
                                skiprows=1)
             assert (trace[:, 1] == np.repeat(frame, data.frame_members)).all()
             assert (trace[:, 3] == data.members).all()
-            assert (trace[:, 2] == result.users.beam_idx[data.members]).all()
+            assert (trace[:, 2] == draw.deployment.beam_idx[data.members]).all()
             # SINRs in dB, written to 10 significant digits
             np.testing.assert_allclose(trace[:, 4], to_db(data.precoded), rtol=1e-9)
-            np.testing.assert_allclose(trace[:, 5], to_db(result.nonprec[data.members]),
+            np.testing.assert_allclose(trace[:, 5], to_db(draw.nonprec[data.members]),
                                        rtol=1e-9)
         # the user map only counts scheduled frames; columns beam, user, lat,
         # lon, mean_precoded_db, mean_nonprecoded_db, frames_served
@@ -72,10 +73,11 @@ def test_run_iteration_smoke(small_scenario, tmp_path):
                           skiprows=1)
         assert (umap[:, 6] > 0).all()   # GSA serves every cluster
         assert np.isfinite(umap[:, 4]).all()
+    # every iteration carries its members, whatever is written from them
     later = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("gsa",), 1, channel_map=True)
     data = later.by_size[2]["gsa"]
-    assert (data.members, data.precoded, data.frame_members, later.nonprec) == (None,) * 4
-    assert later.channel_map.shape == (len(later.users), n_beams)
+    assert len(data.members) == len(data.precoded) == data.frame_members.sum() > 0
+    assert later.channel_map.shape == (len(later.draw.deployment), n_beams)
 
 
 def _plain(fields):
@@ -112,7 +114,7 @@ def test_sweep_reports_pool_their_own_iterations(small_scenario):
         _report_values(reports[2, 4e-4]))
 
 
-def per_frame_reference(scenario, policy, state, iteration, p_tx):
+def per_frame_reference(scenario, policy, state, iteration):
     """A policy's frames precoded one at a time with the 2-D precoding calls.
 
     Returns its schedule, rates and loss flags, the members served frame
@@ -120,6 +122,7 @@ def per_frame_reference(scenario, policy, state, iteration, p_tx):
     computed as the engine does with its alpha = 1 / P_TX.
     """
     cfg = scenario.config
+    p_tx = cfg.satellite_total_power / scenario.n_beams
     if policy == "random":
         seq = scheduling.random_schedule(state.n_clusters, engine.iteration_seed(
             cfg.master_seed, iteration, engine._SEED_RANDOM))
@@ -160,8 +163,7 @@ def assert_same_frames(data, reference):
 
 def write_cell(path, draw, cluster_size, policy, data):
     """The files `_append_iteration` writes for one policy's data as iteration 0, traced."""
-    result = engine.IterationResult(0, draw.deployment_hash, draw.channel_hash,
-                                    {cluster_size: {policy: data}}, draw.deployment, draw.nonprec)
+    result = engine.IterationResult(0, {cluster_size: {policy: data}}, draw)
     engine._append_iteration(path, result, cluster_size, traces=True)
     return tree_files(path)
 
@@ -174,13 +176,12 @@ def test_frame_blocks_match_per_frame_loop(layout, monkeypatch, tmp_path):
     scenario = bundled_scenario(layout)
     cfg = scenario.config
     n_beams = scenario.n_beams
-    p_tx = cfg.tx_power(n_beams)
     for iteration in (0, 1):
         draw = engine.draw_iteration(scenario, cfg.user_density, iteration)
         for k in (1, 2, 4, 8):
             state = engine.build_iteration(scenario, k, draw)
             for policy in engine.POLICIES:
-                reference = per_frame_reference(scenario, policy, state, iteration, p_tx)
+                reference = per_frame_reference(scenario, policy, state, iteration)
                 expected = write_cell(tmp_path / f"{iteration}-{k}-{policy}", draw, k, policy,
                                       reference)
                 assert len(expected) == 6
@@ -188,7 +189,7 @@ def test_frame_blocks_match_per_frame_loop(layout, monkeypatch, tmp_path):
                 step = next(s for s in (3, 4, 5, 7) if n_frames % s)
                 for chunk in (engine._CHUNK_ROWS, 1, n_beams * n_beams * k * step):
                     monkeypatch.setattr(engine, "_CHUNK_ROWS", chunk)
-                    data = engine._evaluate_policy(scenario, policy, state, iteration, p_tx, True)
+                    data = engine._evaluate_policy(scenario, policy, state, iteration)
                     assert_same_frames(data, reference)
                     monkeypatch.undo()
                     assert write_cell(tmp_path / f"{iteration}-{k}-{policy}-{chunk}", draw, k,
@@ -205,10 +206,8 @@ def test_failing_frame_of_a_block_raises_as_on_its_own(small_scenario, monkeypat
     # two frames of one block fail; the block raises the error of the lower one,
     # as the frames precoded one at a time do
     scenario, policy = small_scenario, "random"
-    cfg = scenario.config
-    p_tx = cfg.tx_power(scenario.n_beams)
     state = engine.build_iteration(scenario, 2, engine.draw_iteration(scenario, 2.5e-4, 0))
-    clean = engine._evaluate_policy(scenario, policy, state, 0, p_tx, True)
+    clean = engine._evaluate_policy(scenario, policy, state, 0)
     n_frames = len(clean.rates)
     assert n_frames <= engine._CHUNK_ROWS // (scenario.n_beams ** 2 * 2)   # one block
     rows = state.first_cluster + clean.schedule.selection
@@ -245,9 +244,9 @@ def test_failing_frame_of_a_block_raises_as_on_its_own(small_scenario, monkeypat
     monkeypatch.setattr(precoding, "mmse_precoder", faulty_mmse)
     monkeypatch.setattr(precoding, "precoded_sinr", faulty_sinr)
     with pytest.raises(ValidationError) as alone:
-        per_frame_reference(scenario, policy, state, 0, p_tx)
+        per_frame_reference(scenario, policy, state, 0)
     with pytest.raises(ValidationError) as blocked:
-        engine._evaluate_policy(scenario, policy, state, 0, p_tx, False)
+        engine._evaluate_policy(scenario, policy, state, 0)
     assert str(blocked.value) == str(alone.value) == message
 
 
@@ -491,8 +490,8 @@ def test_policies_share_deployment(small_scenario):
     for it in range(2):
         a = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("random",), it)
         b = engine.run_iteration(small_scenario, (2,), 2.5e-4, ("gsa",), it)
-        assert a.deployment_hash == b.deployment_hash
-        assert a.channel_hash == b.channel_hash
+        assert a.draw.deployment_hash == b.draw.deployment_hash
+        assert a.draw.channel_hash == b.draw.channel_hash
 
 
 def test_failing_cell_recorded_not_fatal(small_scenario, tmp_path):
@@ -637,6 +636,25 @@ def test_rerun_starts_each_sweep_cell_empty(small_scenario, tmp_path, monkeypatc
             if path.startswith("K1_")} == earlier_k1
 
 
+def test_failed_draw_fails_every_size_of_its_iteration(small_scenario, tmp_path, monkeypatch):
+    draw_iteration = engine.draw_iteration
+
+    def failing_at_one(scenario, density, iteration):
+        if iteration == 1:
+            raise ValidationError("injected draw failure")
+        return draw_iteration(scenario, density, iteration)
+
+    monkeypatch.setattr(engine, "draw_iteration", failing_at_one)
+    result = engine.run_iteration(small_scenario, (1, 2), 2.5e-4, engine.POLICIES, 1)
+    assert result.draw is None and result.channel_map is None
+    assert [str(exc) for exc in result.by_size.values()] == ["injected draw failure"] * 2
+    with pytest.raises(ValidationError, match="K=1 rho=0.00025: injected draw failure; "
+                                              "K=2 rho=0.00025: injected draw failure"):
+        engine.run_experiment(small_scenario, sweep=[(1, 2.5e-4), (2, 2.5e-4)],
+                              out_dir=str(tmp_path), iterations=2)
+    assert sorted(os.listdir(tmp_path)) == ["diagnostics.txt", "manifest.json", "summary.csv"]
+
+
 def test_unexpected_cell_error_propagates(small_scenario, monkeypatch):
     def broken_build(*args, **kwargs):
         raise RuntimeError("bug in a pipeline stage")
@@ -676,6 +694,25 @@ def test_unknown_policy_rejected_before_any_draw(small_scenario, tmp_path, monke
         engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4)], policies=("gsa", "bogus"),
                               out_dir=str(out), iterations=1)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("counts", [
+    {"iterations": 2.5}, {"iterations": True}, {"threads": 2.0}, {"threads": "two"},
+])
+def test_non_integer_counts_rejected_before_any_draw(small_scenario, monkeypatch, counts):
+    # iterations=2.5 used to run 2 iterations and record 2 in the manifest
+    def no_draw(*args):
+        raise AssertionError("a unit started")
+
+    monkeypatch.setattr(engine, "draw_iteration", no_draw)
+    with pytest.raises(ValidationError, match="iterations and threads must be integers"):
+        engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4)], **{"iterations": 1, **counts})
+
+
+def test_integer_counts_of_any_integer_type_accepted(small_scenario, tmp_path):
+    _, manifest = engine.run_experiment(small_scenario, sweep=[(2, 2.5e-4)], out_dir=str(tmp_path),
+                                        iterations=np.int64(1), threads="1")
+    assert manifest.iterations == 1 and type(manifest.iterations) is int
 
 
 def test_densities_sharing_a_label_rejected_before_any_draw(small_scenario, tmp_path,
@@ -728,8 +765,8 @@ def test_an_iteration_is_dropped_before_the_next_arrives(small_scenario, tmp_pat
         held = [key for key, ref in refs if ref() is not None]
         assert not held, f"held when iteration {args[4]} is drawn: {held}"
         result = run_iteration(*args, **kwargs)
-        drawn = {"users": result.users, "nonprec": result.nonprec,
-                 "channel map": result.channel_map}
+        drawn = {"draw": result.draw, "users": result.draw.deployment,
+                 "nonprec": result.draw.nonprec, "channel map": result.channel_map}
         refs.extend(((args[4], None, what), weakref.ref(a))
                     for what, a in drawn.items() if a is not None)
         for k, per_policy in result.by_size.items():
@@ -751,7 +788,7 @@ def test_an_iteration_is_dropped_before_the_next_arrives(small_scenario, tmp_pat
     reports, _ = engine.run_experiment(small_scenario, sweep=[(k, 2.5e-4) for k in (1, 4, 2)],
                                        out_dir=str(tmp_path), iterations=4, channel_map=True)
     assert list(reports) == [(1, 2.5e-4), (2, 2.5e-4)]
-    assert {key[2] for key, _ in refs} >= {"channel map", "users", "nonprec", "gsa rates",
+    assert {key[2] for key, _ in refs} >= {"channel map", "draw", "users", "nonprec", "gsa rates",
                                            "random precoded", "gsa members",
                                            "gsa schedule borrowed"}
     assert sum(key[2] == "channel map" for key, _ in refs) == 1

@@ -301,3 +301,11 @@ def test_non_finite_grid_rejected_by_name(radii, angles, field):
     # NaN compares false, so it used to pass the ascending checks
     with pytest.raises(ValidationError, match=field):
         SectorGrid(radii, angles)
+
+
+@pytest.mark.parametrize("radii", [(1.0,), ()])
+def test_grid_without_a_ring_rejected_by_its_rule(radii):
+    # a lone radius used to be refused as not strictly ascending, which it is
+    with pytest.raises(ValidationError, match=r"^sector_radii must hold the beam-center radius "
+                                              r"and at least one ring, ending at 1\.0$"):
+        SectorGrid(radii, (TAU,))

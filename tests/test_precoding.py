@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamsim import channel
+from beamsim import channel, engine
 from beamsim.clustering import cluster_means
 from beamsim.engine import build_iteration, draw_iteration
 from beamsim.errors import ValidationError
@@ -234,7 +234,7 @@ def test_well_separated_physical_frames_mostly_gain():
 
     scenario = bundled_scenario("beams_hex7.json")
     cfg = scenario.config
-    sat = scenario.satellite()
+    sat = scenario.satellite_ecef_km
     rf = chn.beam_rf_parameters(scenario.beams, sat, cfg.tx_aperture_efficiency)
     users = deploy_users(scenario.beams, 2.5e-4, 123, sat)
     lat = np.array([u.lat for u in users])
@@ -253,7 +253,7 @@ def test_well_separated_physical_frames_mostly_gain():
         return np.degrees(worst)
 
     rng = np.random.default_rng(40)
-    p_tx = cfg.tx_power(7)
+    p_tx = scenario.p_tx
     alpha = 1.0 / p_tx                  # the engine's regularization
     frames = frames_all_gain = users_total = users_gain = 0
     while frames < 150:
@@ -301,7 +301,7 @@ def test_paper_rule_on_physical_channel_equals_normalized_mode(scenario19):
     state = build_iteration(scenario19, cfg.cluster_size,
                             draw_iteration(scenario19, cfg.user_density, 0))
     p_z = cfg.noise_power_w
-    p_tx = cfg.tx_power(scenario19.n_beams)
+    p_tx = scenario19.p_tx
     for frame in range(4):
         h = cluster_means(state.draw.h, state.clusters[state.first_cluster + frame])
         w_phys = normalize_power(mmse_precoder(h * np.sqrt(p_z), p_z / p_tx), "sum-power", p_tx)
@@ -362,3 +362,66 @@ def test_oracles_on_near_collinear_frames(n, seed, log_spread, log_alpha, log_p_
     interference = g.sum(axis=1) - g[serving, serving]
     tol = 16 * n * EPS * (own + prec * (bound.sum(axis=1) - own)) / (interference + 1.0)
     assert (np.abs(prec - oracle_prec) <= tol).all()
+
+
+# ---------------------------------------------------------------------------
+# the oracles on the engine's own 71-beam frames
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def europe71_draw():
+    from conftest import bundled_scenario
+
+    scenario = bundled_scenario("beams_europe71.json")
+    return scenario, draw_iteration(scenario, scenario.config.user_density, 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+def test_oracles_on_europe71_frames(europe71_draw, k):
+    # sampled frames of one full-scale draw, both policies: the engine's block
+    # precoding against the explicit inverse, a sample of members against the
+    # term-by-term SINRs (serving beam = the beam whose slot holds the member),
+    # every rate against the ModCod row of its cluster's worst member, and the
+    # loss flag against its definition
+    scenario, draw = europe71_draw
+    cfg, h = scenario.config, draw.h
+    n_beams = scenario.n_beams
+    p_tx = cfg.satellite_total_power / n_beams
+    alpha = 1.0 / p_tx
+    state = build_iteration(scenario, k, draw)
+    rng = np.random.default_rng(k)
+    for policy in engine.POLICIES:
+        data = engine._evaluate_policy(scenario, policy, state, 0)
+        n_frames = len(data.rates)
+        first_member = np.concatenate(([0], np.cumsum(data.frame_members)))
+        # the first and last frames, a random one and the first without a loss
+        lossless = np.flatnonzero(~data.loss_flags)[:1].tolist()
+        for f in sorted({0, n_frames - 1, int(rng.integers(n_frames)), *lossless}):
+            table = state.clusters[state.first_cluster + data.schedule.selection[f]]
+            per_beam = [row[row >= 0] for row in table]
+            sizes = [len(m) for m in per_beam]
+            served = slice(first_member[f], first_member[f + 1])
+            members, prec = data.members[served], data.precoded[served]
+            np.testing.assert_array_equal(members, np.concatenate(per_beam))
+
+            h_frame = np.array([h[m].sum(axis=0) / len(m) for m in per_beam])
+            w = explicit_inverse_oracle(h_frame, alpha)
+            w = w * np.sqrt(n_beams / np.sum(np.abs(w) ** 2))
+            gram = h_frame.conj().T @ h_frame + alpha * np.eye(n_beams)
+            # the allowance of perfbench/checks.py's `precoder_tolerance`
+            tol = max(1e-10, 1e3 * np.linalg.cond(gram) * np.finfo(float).eps)
+            serving = np.repeat(np.arange(n_beams), sizes)
+            pick = rng.choice(len(members), size=6, replace=False)
+            oracle_prec, oracle_nonprec = brute_force_sinr(h[members[pick]], serving[pick], w,
+                                                           p_tx)
+            np.testing.assert_allclose(prec[pick], oracle_prec, rtol=20.0 * tol)
+            np.testing.assert_allclose(draw.nonprec[members[pick]], oracle_nonprec, rtol=1e-12)
+
+            modcod = scenario.modcod
+            for b, start in enumerate(np.cumsum([0] + sizes[:-1])):
+                worst_db = 10.0 * np.log10(prec[start:start + sizes[b]].min())
+                cleared = [e for t, e in zip(modcod.thresholds_db, modcod.efficiencies)
+                           if worst_db >= t]
+                assert data.rates[f, b] == (cleared[-1] if cleared else 0.0), (policy, f, b)
+            assert data.loss_flags[f] == any(
+                p < draw.nonprec[m] for p, m in zip(prec, members)), (policy, f)

@@ -1,11 +1,12 @@
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 import yaml
 
 from beamsim import geometry
+from beamsim.channel import beam_rf_parameters
 from beamsim.errors import ValidationError
 from beamsim.scenario import (
     ModCodTable,
@@ -70,6 +71,11 @@ def test_quadrant_sectors_accepted():
 def test_radii_not_ending_at_one_rejected():
     with pytest.raises(ValidationError):
         config_from_mapping(table_config(sector_radii=[0.2, 0.6]))
+
+
+def test_one_radius_grid_rejected_by_its_rule():
+    with pytest.raises(ValidationError, match="at least one ring"):
+        config_from_mapping(table_config(sector_radii=[1.0]))
 
 
 @pytest.mark.parametrize(
@@ -336,7 +342,7 @@ def test_zero_user_beam_rejected():
 
 
 def test_deployment_deterministic_and_inside(scenario7):
-    sat = scenario7.satellite()
+    sat = scenario7.satellite_ecef_km
     a = deploy_users(scenario7.beams, 5e-4, 1234, sat)
     b = deploy_users(scenario7.beams, 5e-4, 1234, sat)
     assert a.tobytes() == b.tobytes()  # bit-exact records
@@ -370,7 +376,7 @@ def test_deployment_deterministic_and_inside(scenario7):
 def test_mean_count_matches_density(scenario7):
     # deterministic counts: the mean over seeds must sit within 3 sigma of
     # rho * A under a Poisson approximation of the count per realization
-    sat = scenario7.satellite()
+    sat = scenario7.satellite_ecef_km
     beam = scenario7.beams[0]
     rho = 4e-4
     seeds = range(30)
@@ -448,6 +454,32 @@ def test_load_scenario_cross_validates(tmp_path):
         load_scenario(
             cfg_path, str(data_path("beams_hex7.json")), str(data_path("modcod_dvbs2x.csv"))
         )
+
+
+def test_scenario_constants_derived_at_construction_and_on_replace(scenario7):
+    # P_TX, the sectors, the satellite and the antenna parameters follow the
+    # inputs: a replaced config derives its own, and none is assigned over
+    cfg = scenario7.config
+    assert scenario7.p_tx == cfg.satellite_total_power / 7
+    assert scenario7.grid == cfg.sector_grid()
+    np.testing.assert_array_equal(scenario7.satellite_ecef_km,
+                                  geometry.satellite_ecef_km(cfg.satellite_longitude))
+    rf = beam_rf_parameters(scenario7.beams, scenario7.satellite_ecef_km,
+                            cfg.tx_aperture_efficiency)
+    assert vars(scenario7.rf).keys() == vars(rf).keys()
+    for name, value in vars(rf).items():
+        np.testing.assert_array_equal(getattr(scenario7.rf, name), value)
+
+    other = replace(scenario7, config=replace(
+        cfg, satellite_total_power=70.0, satellite_longitude=20.0, tx_aperture_efficiency=0.5,
+        sector_radii=(0.3, 1.0)))
+    assert other.p_tx == 10.0
+    assert other.grid.n_sectors == 1 + other.config.sector_grid().n_wedges
+    np.testing.assert_array_equal(other.satellite_ecef_km, geometry.satellite_ecef_km(20.0))
+    np.testing.assert_array_equal(other.rf.g_max, beam_rf_parameters(
+        scenario7.beams, other.satellite_ecef_km, 0.5).g_max)
+    with pytest.raises(FrozenInstanceError):
+        scenario7.config = other.config
 
 
 def test_check_density_override(scenario7):
